@@ -7,7 +7,9 @@ by re-evaluating the graph under perturbed leaf values.
 
 Vectors are represented as 1xN row matrices. The only broadcasting supported
 is a 1xN right operand of ``add``/``hadamard`` repeated across the rows of an
-MxN left operand (bias rows, per-feature gates).
+MxN left operand (bias rows, per-feature gates). A batch of small matrices is
+stored as a block stack: equal row blocks of one 2-D array, multiplied block by
+block with ``block_matmul``.
 """
 
 from __future__ import annotations
@@ -76,9 +78,9 @@ def leaf(values) -> Node:
 
 
 def _stable_softmax_rows(x: np.ndarray) -> np.ndarray:
-    shifted = x - x.max(axis=1, keepdims=True)
+    shifted = x - x.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
@@ -90,12 +92,27 @@ def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _as_blocks(a: np.ndarray, b: np.ndarray, aux) -> tuple[np.ndarray, np.ndarray]:
+    """3-D views of two block stacks, ``b``'s blocks transposed if asked."""
+    blocks, transpose_b = aux
+    if blocks < 1 or a.shape[0] % blocks or b.shape[0] % blocks:
+        raise ShapeError(f"cannot split {a.shape} and {b.shape} into {blocks} row blocks")
+    a3 = a.reshape(blocks, -1, a.shape[1])
+    b3 = b.reshape(blocks, -1, b.shape[1])
+    return a3, (b3.transpose(0, 2, 1) if transpose_b else b3)
+
+
 def _forward(op: str, parent_values: list[np.ndarray], aux) -> np.ndarray:
     if op == "matmul":
         a, b = parent_values
         if a.shape[1] != b.shape[0]:
             raise ShapeError(f"matmul inner dims differ: {a.shape} @ {b.shape}")
         return _check_finite(op, a @ b)
+    if op == "block_matmul":
+        a3, b3 = _as_blocks(*parent_values, aux)
+        if a3.shape[2] != b3.shape[1]:
+            raise ShapeError(f"block_matmul inner dims differ: {a3.shape} @ {b3.shape}")
+        return _check_finite(op, (a3 @ b3).reshape(-1, b3.shape[2]))
     if op == "add":
         a, b = parent_values
         if not _broadcast_ok(a, b):
@@ -116,8 +133,6 @@ def _forward(op: str, parent_values: list[np.ndarray], aux) -> np.ndarray:
         return _check_finite(op, np.array([[parent_values[0].mean()]]))
     if op == "scale":
         return _check_finite(op, aux * parent_values[0])
-    if op == "transpose":
-        return parent_values[0].T.copy()
     if op == "bce_loss":
         p, t = parent_values
         if p.shape != t.shape:
@@ -139,6 +154,17 @@ def _unary(op: str, a: Node, aux=None) -> Node:
 
 def matmul(a: Node, b: Node) -> Node:
     return Node("matmul", (a, b), _forward("matmul", [a.value, b.value], None))
+
+
+def block_matmul(a: Node, b: Node, blocks: int, transpose_b: bool = False) -> Node:
+    """Block-by-block matrix product of two block stacks.
+
+    ``a`` stacks ``blocks`` row blocks A_k (p x q) and ``b`` stacks blocks B_k
+    (q x r, or r x q when ``transpose_b``). The result stacks A_k @ B_k (or
+    A_k @ B_k^T) into a (blocks*p) x r matrix.
+    """
+    aux = (int(blocks), bool(transpose_b))
+    return Node("block_matmul", (a, b), _forward("block_matmul", [a.value, b.value], aux), aux)
 
 
 def add(a: Node, b: Node) -> Node:
@@ -170,10 +196,6 @@ def scale(a: Node, factor: float) -> Node:
     if not np.isfinite(factor):
         raise NumericError("scale factor must be finite")
     return _unary("scale", a, aux=factor)
-
-
-def transpose(a: Node) -> Node:
-    return _unary("transpose", a)
 
 
 def bce_loss(pred: Node, target: Node) -> Node:
@@ -227,6 +249,13 @@ def _accumulate(node: Node) -> None:
         a, b = node.parents
         a.grad += g @ b.value.T
         b.grad += a.value.T @ g
+    elif op == "block_matmul":
+        a, b = node.parents
+        a3, b3 = _as_blocks(a.value, b.value, node.aux)
+        g3 = g.reshape(a3.shape[0], -1, g.shape[1])
+        a.grad += (g3 @ b3.transpose(0, 2, 1)).reshape(a.value.shape)
+        gb = a3.transpose(0, 2, 1) @ g3
+        b.grad += (gb.transpose(0, 2, 1) if node.aux[1] else gb).reshape(b.value.shape)
     elif op in ("add", "hadamard"):
         a, b = node.parents
         if op == "add":
@@ -255,9 +284,6 @@ def _accumulate(node: Node) -> None:
     elif op == "scale":
         (a,) = node.parents
         a.grad += node.aux * g
-    elif op == "transpose":
-        (a,) = node.parents
-        a.grad += g.T
     elif op == "bce_loss":
         p, t = node.parents
         pc = np.clip(p.value, BCE_CLIP, 1.0 - BCE_CLIP)

@@ -20,8 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, data
-from .explain import global_importance, kernel_shap, mean_background, rank_match_table, \
-    rank_stability, spearman
+from .explain import UndefinedCorrelation, global_importance, kernel_shap, mean_background, \
+    rank_match_table, rank_stability, spearman
 from .models import Model, ModelConfig, build_model
 from .scores import Ranking, extract_ranking, ranking_from_values
 from .training import TrainConfig, train
@@ -243,6 +243,13 @@ def _load_ranking(path) -> Ranking:
                               "source": raw["source"]})
 
 
+def _spearman_or_none(a: Ranking, b: Ranking) -> float | None:
+    try:
+        return spearman(a, b)
+    except UndefinedCorrelation:  # an all-tie ranking: reported as null, not a failure
+        return None
+
+
 def cmd_compare(args) -> int:
     loaded = [_load_ranking(p) for p in args.rankings]
     entries = [(f"{r.source}:{Path(p).name}", r) for p, r in zip(args.rankings, loaded)]
@@ -257,7 +264,7 @@ def cmd_compare(args) -> int:
     labels = [label for label, _ in entries]
     rankings = [r for _, r in entries]
 
-    matrix = [[spearman(a, b) for b in rankings] for a in rankings]
+    matrix = [[_spearman_or_none(a, b) for b in rankings] for a in rankings]
     payload: dict = {"labels": labels, "spearman": matrix}
 
     if gt is not None:
@@ -280,7 +287,7 @@ def cmd_compare(args) -> int:
                     "sidecar": args.sidecar}, {},
                     list(args.rankings) + ([args.sidecar] if args.sidecar else []), [args.out])
     for label, row in zip(labels, matrix):
-        print(f"spearman {label}: " + " ".join(f"{v:+.4f}" for v in row))
+        print(f"spearman {label}: " + " ".join("n/a" if v is None else f"{v:+.4f}" for v in row))
     return 0
 
 
@@ -405,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--loss", choices=["auto", "bce", "mse"], default="auto")
     p.add_argument("--init", choices=["zero", "random", "gt"], default="zero")
     p.add_argument("--init-values", default=None, help="sidecar JSON for --init gt")
-    p.add_argument("--penalty", choices=["none", "entropy", "l1"], default="none")
+    p.add_argument("--penalty", choices=["none", "entropy"], default="none")
     p.add_argument("--lam", type=float, default=0.0)
     p.add_argument("--record-every", type=int, default=100)
     p.add_argument("--seed", type=int, default=None)

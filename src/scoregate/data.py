@@ -243,9 +243,13 @@ def load_csv(path) -> Dataset:
             parsed = []
             for name, cell in zip(header, row):
                 try:
-                    parsed.append(float(cell))
+                    value = float(cell)
                 except ValueError:
-                    raise ValueError(f"{path}: non-numeric cell at row {line_no}, column {name}") from None
+                    value = math.nan
+                if not math.isfinite(value):  # float() accepts "nan" and "inf"
+                    raise ValueError(f"{path}: non-numeric or non-finite cell at row {line_no}, "
+                                     f"column {name}")
+                parsed.append(value)
             rows.append(parsed)
     if not rows:
         raise ValueError(f"{path}: no data rows")

@@ -213,6 +213,10 @@ def fractional_ranks(values) -> np.ndarray:
     return ranks
 
 
+class UndefinedCorrelation(ValueError):
+    """One side ranks every item equal, so no rank correlation exists."""
+
+
 def spearman_rho(a, b) -> float:
     """Spearman rank correlation (fractional ranks, so ties are handled)."""
     a = np.asarray(a, dtype=np.float64).reshape(-1)
@@ -226,7 +230,7 @@ def spearman_rho(a, b) -> float:
     rb -= rb.mean()
     denom = np.sqrt((ra ** 2).sum() * (rb ** 2).sum())
     if denom == 0.0:
-        raise ValueError("constant ranks have no defined correlation")
+        raise UndefinedCorrelation("constant ranks have no defined correlation")
     return float((ra * rb).sum() / denom)
 
 

@@ -24,26 +24,17 @@ class DataLeaves:
     """Handles on a graph's input/target leaves so a training loop can feed
     successive equal-sized batches into one prebuilt graph."""
 
-    def __init__(self, x_leaves: list, y_leaves: list):
-        self.x_leaves = x_leaves
-        self.y_leaves = y_leaves
-        self.batch_rows = sum(leaf.value.shape[0] for leaf in x_leaves)
+    def __init__(self, x_leaf: ad.Node, y_leaf: ad.Node):
+        self.x_leaf = x_leaf
+        self.y_leaf = y_leaf
+        self.batch_rows = x_leaf.value.shape[0]
 
     def assign(self, X: np.ndarray, y: np.ndarray) -> None:
-        y = y.reshape(-1, 1)
-        if len(self.x_leaves) == 1:  # one batched leaf
-            if X.shape != self.x_leaves[0].value.shape:
-                raise ValueError(f"batch shape {X.shape} differs from graph "
-                                 f"shape {self.x_leaves[0].value.shape}")
-            self.x_leaves[0].value = np.ascontiguousarray(X, dtype=np.float64)
-            self.y_leaves[0].value = np.ascontiguousarray(y, dtype=np.float64)
-            return
-        if X.shape[0] != len(self.x_leaves):  # one leaf per sample
-            raise ValueError(f"batch of {X.shape[0]} rows does not fit "
-                             f"{len(self.x_leaves)} per-sample leaves")
-        for k, (xl, yl) in enumerate(zip(self.x_leaves, self.y_leaves)):
-            xl.value = np.ascontiguousarray(X[k].reshape(1, -1), dtype=np.float64)
-            yl.value = np.ascontiguousarray(y[k].reshape(1, 1), dtype=np.float64)
+        if X.shape != self.x_leaf.value.shape:
+            raise ValueError(f"batch shape {X.shape} differs from graph "
+                             f"shape {self.x_leaf.value.shape}")
+        self.x_leaf.value = np.ascontiguousarray(X, dtype=np.float64)
+        self.y_leaf.value = np.ascontiguousarray(y.reshape(-1, 1), dtype=np.float64)
 
 
 @dataclass
@@ -134,57 +125,42 @@ class Model:
             h = ad.relu(z) if i < n_layers - 1 else ad.sigmoid(z)
         return h, leaves
 
-    def _attention_sample_graph(self, x_leaf: ad.Node, leaves: dict[str, ad.Node],
-                                consts: dict[str, ad.Node]) -> ad.Node:
+    def _attention_graph(self, x_leaf: ad.Node) -> tuple[ad.Node, dict[str, ad.Node]]:
         cfg = self.config
+        d, m = cfg.d_in, cfg.model_dim
+        n = x_leaf.value.shape[0]
+        leaves = {name: ad.leaf(arr) for name, arr in self.params.items()}
+        tile = ad.leaf(np.tile(np.eye(d), (n, 1)))  # one d x d identity per sample
         x = x_leaf
         if cfg.gated:
             x = ad.hadamard(x, ad.softmax_rows(leaves["scores"]))
-        x_mat = ad.matmul(ad.transpose(x), consts["ones_row"])  # d x m, x_i per row
-        tokens = ad.add(ad.hadamard(leaves["emb"], x_mat), leaves["pos"])
-        block = attention_block(tokens, leaves, cfg.model_dim)
-        pooled = ad.matmul(consts["pool"], block)  # 1 x m mean over tokens
-        return ad.sigmoid(ad.add(ad.matmul(pooled, leaves["head_w"]), leaves["head_b"]))
-
-    def _attention_graph(self, X: np.ndarray) \
-            -> tuple[list[ad.Node], dict[str, ad.Node], list[ad.Node]]:
-        cfg = self.config
-        leaves = {name: ad.leaf(arr) for name, arr in self.params.items()}
-        consts = {
-            "ones_row": ad.leaf(np.ones((1, cfg.model_dim))),
-            "pool": ad.leaf(np.full((1, cfg.d_in), 1.0 / cfg.d_in)),
-        }
-        x_leaves = [ad.leaf(X[k].reshape(1, -1)) for k in range(X.shape[0])]
-        preds = [self._attention_sample_graph(x, leaves, consts) for x in x_leaves]
-        return preds, leaves, x_leaves
+        x_col = ad.block_matmul(tile, x, n, transpose_b=True)  # x[k, i] at row k*d + i
+        x_mat = ad.matmul(x_col, ad.leaf(np.ones((1, m))))
+        tokens = ad.add(ad.hadamard(ad.matmul(tile, leaves["emb"]), x_mat),
+                        ad.matmul(tile, leaves["pos"]))
+        block = attention_block(tokens, leaves, m, n)
+        pooled = ad.block_matmul(ad.leaf(np.full((n, d), 1.0 / d)), block, n)  # n x m
+        return ad.sigmoid(ad.add(ad.matmul(pooled, leaves["head_w"]), leaves["head_b"])), leaves
 
     def loss_graph(self, X: np.ndarray, y: np.ndarray, loss_kind: str) \
-            -> tuple[ad.Node, "ad.Node | list[ad.Node]", dict[str, ad.Node], "DataLeaves"]:
+            -> tuple[ad.Node, ad.Node, dict[str, ad.Node], DataLeaves]:
         """Build the loss node over a batch.
 
-        Returns (loss, prediction node or per-sample nodes, parameter leaves,
-        data leaves). Predictions stay live across ``recompute`` calls (read
-        them with ``batch_predictions``), and the data leaves accept new
-        same-shaped batches via ``DataLeaves.assign`` — that is how the
-        training loop iterates mini-batches over one prebuilt graph.
+        Returns (loss, prediction node, parameter leaves, data leaves).
+        Predictions stay live across ``recompute`` calls (read them with
+        ``batch_predictions``), and the data leaves accept new same-shaped
+        batches via ``DataLeaves.assign`` — that is how the training loop
+        iterates mini-batches over one prebuilt graph.
         """
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64).reshape(-1, 1)
         if X.shape[1] != self.config.d_in:
             raise ad.ShapeError(f"model expects {self.config.d_in} features, got {X.shape[1]}")
         loss_fn = ad.bce_loss if loss_kind == "bce" else ad.mse_loss
-        if self.config.backbone == "mlp":
-            x_leaf = ad.leaf(X)
-            pred, leaves = self._mlp_graph(x_leaf)
-            y_leaf = ad.leaf(y)
-            return loss_fn(pred, y_leaf), pred, leaves, DataLeaves([x_leaf], [y_leaf])
-        preds, leaves, x_leaves = self._attention_graph(X)
-        y_leaves = [ad.leaf(y[k:k + 1]) for k in range(len(preds))]
-        total = loss_fn(preds[0], y_leaves[0])
-        for k in range(1, len(preds)):
-            total = ad.add(total, loss_fn(preds[k], y_leaves[k]))
-        loss = ad.scale(total, 1.0 / len(preds))
-        return loss, preds, leaves, DataLeaves(x_leaves, y_leaves)
+        build = self._mlp_graph if self.config.backbone == "mlp" else self._attention_graph
+        x_leaf, y_leaf = ad.leaf(X), ad.leaf(y)
+        pred, leaves = build(x_leaf)
+        return loss_fn(pred, y_leaf), pred, leaves, DataLeaves(x_leaf, y_leaf)
 
     # -- numpy fast path ---------------------------------------------------
 
@@ -205,7 +181,7 @@ class Model:
             if cfg.gated and cfg.gate_index == i:
                 h = h * self.gate_weights()
             z = h @ self.params[f"W{i}"] + self.params[f"b{i}"]
-            h = np.maximum(z, 0.0) if i < n_layers - 1 else _sigmoid(z)
+            h = np.maximum(z, 0.0) if i < n_layers - 1 else ad._stable_sigmoid(z)
         return h[:, 0]
 
     def _predict_attention(self, X: np.ndarray) -> np.ndarray:
@@ -217,11 +193,11 @@ class Model:
         q = tokens @ p["wq"]
         k = tokens @ p["wk"]
         v = tokens @ p["wv"]
-        att = _softmax_last(q @ k.transpose(0, 2, 1) / np.sqrt(m))
+        att = ad._stable_softmax_rows(q @ k.transpose(0, 2, 1) / np.sqrt(m))
         res1 = tokens + att @ v
         ffn = np.maximum(res1 @ p["fw1"] + p["fb1"], 0.0) @ p["fw2"] + p["fb2"]
         pooled = (res1 + ffn).mean(axis=1)  # (n, m)
-        return _sigmoid(pooled @ p["head_w"] + p["head_b"])[:, 0]
+        return ad._stable_sigmoid(pooled @ p["head_w"] + p["head_b"])[:, 0]
 
     # -- serialization -----------------------------------------------------
 
@@ -252,38 +228,25 @@ class Model:
         return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
 
 
-def batch_predictions(pred: "ad.Node | list[ad.Node]") -> np.ndarray:
-    """Current prediction values from the node(s) returned by ``loss_graph``."""
-    if isinstance(pred, list):
-        return np.array([p.value[0, 0] for p in pred])
+def batch_predictions(pred: ad.Node) -> np.ndarray:
+    """Current prediction values from the node returned by ``loss_graph``."""
     return pred.value[:, 0].copy()
 
 
-def attention_block(tokens: ad.Node, leaves: dict[str, ad.Node], model_dim: int) -> ad.Node:
+def attention_block(tokens: ad.Node, leaves: dict[str, ad.Node], model_dim: int,
+                    blocks: int) -> ad.Node:
     """Single-head scaled dot-product self-attention with residual, then a
-    2-layer feed-forward with residual. ``tokens`` is d x model_dim."""
+    2-layer feed-forward with residual. ``tokens`` is a (blocks*d) x model_dim
+    stack of one d x model_dim block per sample; attention stays within a block."""
     q = ad.matmul(tokens, leaves["wq"])
     k = ad.matmul(tokens, leaves["wk"])
     v = ad.matmul(tokens, leaves["wv"])
-    att = ad.softmax_rows(ad.scale(ad.matmul(q, ad.transpose(k)), 1.0 / np.sqrt(model_dim)))
-    res1 = ad.add(tokens, ad.matmul(att, v))
+    att = ad.softmax_rows(ad.scale(ad.block_matmul(q, k, blocks, transpose_b=True),
+                                   1.0 / np.sqrt(model_dim)))
+    res1 = ad.add(tokens, ad.block_matmul(att, v, blocks))
     ffn = ad.add(ad.matmul(ad.relu(ad.add(ad.matmul(res1, leaves["fw1"]), leaves["fb1"])),
                            leaves["fw2"]), leaves["fb2"])
     return ad.add(res1, ffn)
-
-
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
-def _softmax_last(x: np.ndarray) -> np.ndarray:
-    e = np.exp(x - x.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
 
 
 def _uniform_fan_in(rng: np.random.Generator, fan_in: int, shape) -> np.ndarray:

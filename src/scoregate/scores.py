@@ -12,7 +12,7 @@ import numpy as np
 from .autodiff import NumericError
 
 INIT_STRATEGIES = ("zero", "random-uniform", "from-values")
-PENALTY_KINDS = ("entropy", "l1")
+PENALTY_KINDS = ("entropy",)
 RANKING_SOURCES = ("scores", "shap", "ground-truth")
 
 
@@ -98,11 +98,7 @@ def analytic_grads(W, s, x) -> tuple[np.ndarray, np.ndarray]:
 
 
 def sparsity_penalty(weights, kind: str = "entropy", lam: float = 0.0) -> float:
-    """Optional score regularizer: lam * entropy(w) or lam * sum |w|.
-
-    For softmax weights the l1 penalty is the constant ``lam`` (weights sum
-    to one), so it never steers training; it is kept for completeness.
-    """
+    """Optional score regularizer: lam * entropy(w)."""
     if kind not in PENALTY_KINDS:
         raise ValueError(f"unknown penalty kind {kind!r}")
     if lam < 0:
@@ -110,8 +106,6 @@ def sparsity_penalty(weights, kind: str = "entropy", lam: float = 0.0) -> float:
     if lam == 0:
         return 0.0
     w = np.asarray(weights, dtype=np.float64).reshape(-1)
-    if kind == "l1":
-        return lam * float(np.abs(w).sum())
     wc = np.clip(w, 1e-300, None)
     return lam * float(-(w * np.log(wc)).sum())
 

@@ -37,7 +37,7 @@ class TrainConfig:
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
-    penalty: str = "none"  # none | entropy | l1
+    penalty: str = "none"
     penalty_lam: float = 0.0
     record_every: int = 100
 
@@ -46,7 +46,7 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         if self.batch_size is not None and self.batch_size < 1:
             raise ValueError("batch_size must be >= 1 (or None for full batch)")
-        if self.penalty not in ("none", "entropy", "l1"):
+        if self.penalty not in ("none", "entropy"):
             raise ValueError(f"unknown penalty {self.penalty!r}")
 
     def to_dict(self) -> dict:

@@ -153,12 +153,30 @@ def test_relu_backward_fd_and_zero_subgradient():
     assert np.all(g == 0.0)  # subgradient at 0 is taken as 0
 
 
-def test_scale_transpose_mean_backward_fd():
+def test_scale_mean_backward_fd():
     X = ad.leaf(RNG.normal(size=(3, 2)))
-    loss = ad.mean(ad.scale(ad.transpose(X), -2.5))
+    loss = ad.mean(ad.scale(X, -2.5))
     grads = ad.backward(loss)
     assert np.allclose(grads[X], np.full((3, 2), -2.5 / 6.0), atol=1e-14)
     assert rel_err(grads[X], numeric_grad(loss, X)) < 1e-7
+
+
+@pytest.mark.parametrize("transpose_b", [False, True])
+def test_block_matmul_forward_per_block_and_backward_fd(transpose_b):
+    rng = np.random.default_rng(31)
+    blocks, p, q, r = 3, 2, 4, 5
+    A = ad.leaf(rng.normal(size=(blocks * p, q)))
+    B = ad.leaf(rng.normal(size=(blocks * r, q) if transpose_b else (blocks * q, r)))
+    out = ad.block_matmul(A, B, blocks, transpose_b=transpose_b)
+    a3 = A.value.reshape(blocks, p, q)
+    b3 = B.value.reshape(blocks, -1, q if transpose_b else r)
+    expect = np.vstack([a3[k] @ (b3[k].T if transpose_b else b3[k]) for k in range(blocks)])
+    assert out.shape == (blocks * p, r)
+    assert np.allclose(out.value, expect, atol=1e-14)
+    loss = ad.mean(ad.hadamard(out, ad.leaf(rng.normal(size=out.shape))))
+    grads = ad.backward(loss)
+    for leaf_node in (A, B):
+        assert rel_err(grads[leaf_node], numeric_grad(loss, leaf_node)) < 1e-6
 
 
 def test_bce_backward_fd_away_from_clip():
@@ -294,6 +312,10 @@ def test_shape_errors():
         ad.add(ad.leaf(np.ones((2, 3))), ad.leaf(np.ones((3, 2))))
     with pytest.raises(ad.ShapeError):
         ad.hadamard(ad.leaf(np.ones((2, 3))), ad.leaf(np.ones((2, 2))))
+    with pytest.raises(ad.ShapeError):
+        ad.block_matmul(ad.leaf(np.ones((4, 2))), ad.leaf(np.ones((3, 2))), 2)
+    with pytest.raises(ad.ShapeError):
+        ad.block_matmul(ad.leaf(np.ones((4, 2))), ad.leaf(np.ones((6, 2))), 2)
     with pytest.raises(ad.ShapeError):
         ad.bce_loss(ad.leaf(np.full((2, 1), 0.5)), ad.leaf(np.zeros((3, 1))))
     with pytest.raises(ad.ShapeError):

@@ -212,6 +212,19 @@ def test_compare_without_sidecar(workdir, tmp_path):
     np.testing.assert_allclose(payload["spearman"], [[1.0, 1.0], [1.0, 1.0]], rtol=1e-12)
 
 
+def test_compare_reports_all_tie_ranking_as_null(workdir, tmp_path, capsys):
+    rank_out = tmp_path / "rank.json"
+    main(["rank", "--model", str(workdir["model"]), "--out", str(rank_out)])
+    ties = tmp_path / "ties.json"
+    ties.write_text(json.dumps({"order": list(range(7)), "values": [0.5] * 7,
+                                "source": "shap"}), encoding="utf-8")
+    out = tmp_path / "cmp.json"
+    assert main(["compare", "--rankings", str(rank_out), str(ties),
+                 "--out", str(out)]) == 0
+    assert read_json(out)["spearman"] == [[1.0, None], [None, None]]
+    assert "n/a" in capsys.readouterr().out
+
+
 def test_stability_payload(workdir, tmp_path):
     out = tmp_path / "stab.json"
     assert main(["stability", "--data", str(workdir["csv"]), "--hidden", "3",

@@ -250,6 +250,10 @@ def test_load_csv_errors(tmp_path):
     p.write_text("a,y\n1,oops\n", encoding="utf-8")
     with pytest.raises(ValueError, match="non-numeric"):
         load_csv(p)
+    for cell in ("nan", "inf"):
+        p.write_text(f"a,y\n1,0\n{cell},1\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="non-finite cell at row 3, column a"):
+            load_csv(p)
     p.write_text("a,y\n", encoding="utf-8")
     with pytest.raises(ValueError, match="no data rows"):
         load_csv(p)

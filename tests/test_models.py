@@ -15,13 +15,13 @@ import pytest
 
 import scoregate.autodiff as ad
 from scoregate.models import (
-    DataLeaves,
     Model,
     ModelConfig,
     batch_predictions,
     build_model,
 )
 from scoregate.scores import scores_to_weights
+from scoregate.training import TrainConfig, train
 
 
 def make_batch(rng, n, d, binary=False):
@@ -126,21 +126,32 @@ def test_assign_validates_shapes():
         leaves.assign(np.ones((2, 3)), np.ones(2))
 
 
-def test_param_arrays_are_aliased_into_the_graph():
+@pytest.mark.parametrize("backbone", ["mlp", "attention"])
+def test_param_arrays_are_aliased_into_the_graph(backbone):
     # the trainer updates params in place and recomputes; no copying allowed
-    model = build_model(ModelConfig(d_in=3, hidden=(2,), gated=True), seed=4)
+    cfg = ModelConfig(d_in=3, backbone=backbone, hidden=(2,), model_dim=4, ffn_dim=5,
+                      gated=True)
+    model = build_model(cfg, seed=4)
     rng = np.random.default_rng(6)
     X, y = make_batch(rng, 4, 3, binary=True)
     loss, _, param_leaves, _ = model.loss_graph(X, y, "bce")
     for name, leaf in param_leaves.items():
         assert leaf.value is model.params[name]
     before = loss.value[0, 0]
-    model.params["W0"][0, 0] += 0.5
+    model.params["W0" if backbone == "mlp" else "wq"][0, 0] += 0.5
     model.params["scores"][0, 1] -= 1.0
     after = ad.recompute(loss)[0, 0]
     assert after != before
     fresh, _, _, _ = model.loss_graph(X, y, "bce")
     assert after == fresh.value[0, 0]
+
+    # Adam reaches the parameters only through this aliasing
+    arrays = dict(model.params)
+    start = {name: arr.copy() for name, arr in arrays.items()}
+    train(model, X, y, "classification", TrainConfig(epochs=2, lr=0.01, batch_size=None))
+    for name, arr in arrays.items():
+        assert model.params[name] is arr, name
+        assert not np.array_equal(arr, start[name]), name
 
 
 def test_attention_graph_gradients_pass_grad_check():
@@ -263,9 +274,3 @@ def test_batch_predictions_returns_a_copy():
     out = batch_predictions(pred)
     out[:] = -1.0
     assert not np.array_equal(batch_predictions(pred), out)
-
-
-def test_data_leaves_counts_rows_across_per_sample_leaves():
-    xs = [ad.leaf(np.ones((1, 3))) for _ in range(4)]
-    ys = [ad.leaf(np.ones((1, 1))) for _ in range(4)]
-    assert DataLeaves(xs, ys).batch_rows == 4

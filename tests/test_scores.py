@@ -291,12 +291,12 @@ def test_sparsity_penalty_values():
     assert abs(sparsity_penalty(w, "entropy", 2.0) - 2.0 * math.log(4)) < 1e-14
     one_hot = np.array([1.0, 0.0, 0.0])
     assert sparsity_penalty(one_hot, "entropy", 1.0) < 1e-12
-    # l1 of softmax weights is identically lam: present but inert
-    assert abs(sparsity_penalty(w, "l1", 0.7) - 0.7) < 1e-15
+    with pytest.raises(ValueError):
+        sparsity_penalty(w, "l1", 0.7)
     with pytest.raises(ValueError):
         sparsity_penalty(w, "l2", 1.0)
     with pytest.raises(ValueError):
-        sparsity_penalty(w, "l1", -0.5)
+        sparsity_penalty(w, "entropy", -0.5)
 
 
 def test_entropy_grad_matches_finite_differences():

@@ -296,20 +296,6 @@ def test_entropy_penalty_sharpens_weights():
     assert final_entropy(0.5) < final_entropy(0.0)
 
 
-def test_l1_penalty_is_reported_but_inert():
-    # l1 of softmax weights is constant, so it must not change the updates
-    X, y = class_data(16, 4, seed=8)
-    mcfg = ModelConfig(d_in=4, hidden=(3,), gated=True)
-    plain = build_model(mcfg, seed=2)
-    l1 = build_model(mcfg, seed=2)
-    train(plain, X, y, "classification", TrainConfig(epochs=5, batch_size=None))
-    report = train(l1, X, y, "classification",
-                   TrainConfig(epochs=5, batch_size=None, penalty="l1", penalty_lam=0.7))
-    for name in plain.params:
-        np.testing.assert_array_equal(plain.params[name], l1.params[name])
-    assert report.curve[0].penalty == pytest.approx(0.7, rel=1e-12)
-
-
 # --- failure modes -----------------------------------------------------------------------
 
 
