@@ -36,7 +36,6 @@ from .explain import (
 from .models import Model, ModelConfig, build_model
 from .scores import (
     Ranking,
-    ScoresLayer,
     analytic_grads,
     extract_ranking,
     gate,
@@ -50,7 +49,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Dataset", "FeatureMeta", "Model", "ModelConfig", "NumericError", "Ranking",
-    "ScoresLayer", "ShapResult", "ShapeError", "TrainConfig", "TrainReport",
+    "ShapResult", "ShapeError", "TrainConfig", "TrainReport",
     "TrainingError", "analytic_grads", "augment_random_features", "backward",
     "build_model", "exact_shapley", "extract_ranking", "gate", "gen_classification",
     "gen_friedman1", "gen_friedman2", "gen_synthetic", "global_importance",

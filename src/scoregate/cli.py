@@ -1,10 +1,11 @@
 """Command-line frontend: dataset generation, training, ranking, SHAP
 baselines, comparisons, stability experiments, and plot-data export.
 
-Every command writes a run manifest next to its primary output; ``replay``
-re-executes a manifest's resolved argument vector, reproducing the artifacts.
-Exit codes: 0 success, 1 runtime failure, 2 usage error. The ``SCOREGATE_SEED``
-environment variable overrides the built-in default seed wherever ``--seed``
+Every command writes a run manifest next to its primary output, built from
+the parsed arguments; ``replay`` re-executes a manifest's resolved argument
+vector, reproducing the artifacts. Exit codes: 0 success, 1 runtime failure,
+2 usage error. The ``SCOREGATE_SEED`` environment variable overrides the
+built-in default seed wherever ``--seed`` (``--base-seed`` for ``stability``)
 is not given explicitly.
 """
 
@@ -34,7 +35,12 @@ def _resolve_seed(flag_value: int | None) -> int:
     if flag_value is not None:
         return flag_value
     env = os.environ.get("SCOREGATE_SEED")
-    return int(env) if env else DEFAULT_SEED
+    if not env:
+        return DEFAULT_SEED
+    try:
+        return int(env)
+    except ValueError:
+        raise ValueError(f"SCOREGATE_SEED must be an integer, got {env!r}") from None
 
 
 def _write_json(path, obj) -> None:
@@ -45,10 +51,18 @@ def _manifest_path(primary_out) -> Path:
     return Path(primary_out).with_suffix(".manifest.json")
 
 
-def _write_manifest(primary_out, command: str, argv: list[str], params: dict,
-                    seeds: dict, inputs: list[str], outputs: list[str]) -> None:
+def _write_manifest(args, primary_out, seeds: dict, inputs: list[str],
+                    outputs: list[str]) -> None:
+    """Record every parsed option of the command, seeds already resolved, both
+    as ``resolved_params`` and as the ``argv`` that ``replay`` re-runs."""
+    params = {k: v for k, v in vars(args).items() if k not in ("command", "func")}
+    argv = [args.command]
+    for dest, value in params.items():
+        if value is not None:
+            argv.append("--" + dest.replace("_", "-"))
+            argv += [str(v) for v in value] if isinstance(value, list) else [str(value)]
     _write_json(_manifest_path(primary_out), {
-        "command": command,
+        "command": args.command,
         "argv": argv,
         "resolved_params": params,
         "seeds": seeds,
@@ -73,34 +87,25 @@ def _sample_rows(n: int, samples: int, seed: int) -> np.ndarray:
 
 
 def cmd_gen(args) -> int:
-    seed = _resolve_seed(args.seed)
     if args.dataset == "synth":
-        ds = data.gen_synthetic(args.n, args.noise, seed)
+        ds = data.gen_synthetic(args.n, args.noise, args.seed)
         params = {"n": args.n, "noise": args.noise}
-        argv = ["gen", "--dataset", "synth", "--n", str(args.n), "--noise", str(args.noise)]
     elif args.dataset == "friedman1":
-        ds = data.gen_friedman1(args.n, args.sigma, seed)
+        ds = data.gen_friedman1(args.n, args.sigma, args.seed)
         params = {"n": args.n, "sigma": args.sigma}
-        argv = ["gen", "--dataset", "friedman1", "--n", str(args.n), "--sigma", str(args.sigma)]
     elif args.dataset == "friedman2":
-        ds = data.gen_friedman2(args.n, args.sigma, seed)
+        ds = data.gen_friedman2(args.n, args.sigma, args.seed)
         params = {"n": args.n, "sigma": args.sigma}
-        argv = ["gen", "--dataset", "friedman2", "--n", str(args.n), "--sigma", str(args.sigma)]
     else:
         ds = data.gen_classification(args.n, args.d, args.informative, args.redundant,
-                                     args.duplicates, seed)
+                                     args.duplicates, args.seed)
         params = {"n": args.n, "d": args.d, "informative": args.informative,
                   "redundant": args.redundant, "duplicates": args.duplicates}
-        argv = ["gen", "--dataset", "clf", "--n", str(args.n), "--d", str(args.d),
-                "--informative", str(args.informative), "--redundant", str(args.redundant),
-                "--duplicates", str(args.duplicates)]
-    argv += ["--seed", str(seed), "--out", args.out]
 
     data.save_csv(ds, args.out)
     sidecar = Path(args.out).with_suffix(".sidecar.json")
-    data.write_sidecar(sidecar, args.dataset, params, seed, ds)
-    _write_manifest(args.out, "gen", argv, {**params, "dataset": args.dataset},
-                    {"seed": seed}, [], [args.out, str(sidecar)])
+    data.write_sidecar(sidecar, args.dataset, params, args.seed, ds)
+    _write_manifest(args, args.out, {"seed": args.seed}, [], [args.out, str(sidecar)])
     print(f"wrote {ds.n}x{ds.d} {ds.task} dataset to {args.out} (+ sidecar)")
     return 0
 
@@ -119,7 +124,6 @@ def _parse_hidden(text: str) -> tuple[int, ...]:
 
 
 def cmd_train(args) -> int:
-    seed = _resolve_seed(args.seed)
     ds = data.load_csv(args.data)
     loss_for_task = "bce" if ds.task == "classification" else "mse"
     if args.loss != "auto" and args.loss != loss_for_task:
@@ -141,11 +145,11 @@ def cmd_train(args) -> int:
         gated=args.model == "scores", gate_index=args.gate_index,
         score_init=init_map[args.init], score_init_values=init_values,
     )
-    model = build_model(config, seed)
-    train_ds, test_ds = data.split(ds, 0.8, seed)
+    model = build_model(config, args.seed)
+    train_ds, test_ds = data.split(ds, 0.8, args.seed)
     batch_size = None if args.batch_size == 0 else args.batch_size
     tcfg = TrainConfig(epochs=args.epochs, lr=args.lr, batch_size=batch_size,
-                       shuffle_seed=seed, penalty=args.penalty,
+                       shuffle_seed=args.seed, penalty=args.penalty,
                        penalty_lam=args.lam, record_every=args.record_every)
     report = train(model, train_ds.X, train_ds.y, ds.task, tcfg,
                    X_test=test_ds.X, y_test=test_ds.y)
@@ -156,23 +160,7 @@ def cmd_train(args) -> int:
     payload["data"] = args.data
     _write_json(args.out_report, payload)
 
-    argv = ["train", "--data", args.data, "--model", args.model, "--backbone", args.backbone,
-            "--hidden", args.hidden, "--gate-index", str(args.gate_index),
-            "--model-dim", str(args.model_dim), "--ffn-dim", str(args.ffn_dim),
-            "--epochs", str(args.epochs), "--lr", repr(args.lr),
-            "--batch-size", str(args.batch_size), "--loss", args.loss,
-            "--init", args.init, "--penalty", args.penalty, "--lam", repr(args.lam),
-            "--record-every", str(args.record_every), "--seed", str(seed),
-            "--out-model", args.out_model, "--out-report", args.out_report]
-    if args.init_values:
-        argv += ["--init-values", args.init_values]
-    _write_manifest(args.out_model, "train", argv,
-                    {"data": args.data, "model": args.model, "backbone": args.backbone,
-                     "hidden": args.hidden, "gate_index": args.gate_index,
-                     "epochs": args.epochs, "lr": args.lr, "batch_size": args.batch_size,
-                     "loss": args.loss, "init": args.init,
-                     "penalty": args.penalty, "lam": args.lam},
-                    {"seed": seed, "split_seed": seed},
+    _write_manifest(args, args.out_model, {"seed": args.seed, "split_seed": args.seed},
                     [args.data] + ([args.init_values] if args.init_values else []),
                     [args.out_model, args.out_report])
     acc = payload["final_test_accuracy"]
@@ -189,30 +177,26 @@ def cmd_rank(args) -> int:
     model = Model.load(args.model)
     if model.scores is None:
         raise ValueError("model has no score gate to rank features with; train with --model scores")
-    layer = model.scores_layer()
     t0 = time.perf_counter()
-    ranking = extract_ranking(layer)
+    ranking = extract_ranking(model.scores)
     elapsed_ms = (time.perf_counter() - t0) * 1000.0
 
     payload = ranking.to_dict()
     payload["order_one_indexed"] = _one_indexed(ranking.order)
     payload["elapsed_ms"] = elapsed_ms
     _write_json(args.out, payload)
-    argv = ["rank", "--model", args.model, "--out", args.out]
-    _write_manifest(args.out, "rank", argv, {"model": args.model}, {},
-                    [args.model], [args.out])
+    _write_manifest(args, args.out, {}, [args.model], [args.out])
     print(f"ranking (one-indexed): {payload['order_one_indexed']} ({elapsed_ms:.4f} ms)")
     return 0
 
 
 def cmd_shap(args) -> int:
-    seed = _resolve_seed(args.seed)
     model = Model.load(args.model)
     ds = data.load_csv(args.data)
-    idx = _sample_rows(ds.n, args.samples, seed)
+    idx = _sample_rows(ds.n, args.samples, args.seed)
     background = mean_background(ds.X)
     result = kernel_shap(model.predict, ds.X[idx], background,
-                         n_coalitions=args.coalitions, seed=seed)
+                         n_coalitions=args.coalitions, seed=args.seed)
     ranking = global_importance(result)
 
     payload = result.to_dict()
@@ -220,13 +204,7 @@ def cmd_shap(args) -> int:
     payload["order_one_indexed"] = _one_indexed(ranking.order)
     payload["sample_indices"] = [int(i) for i in idx]
     _write_json(args.out, payload)
-    argv = ["shap", "--model", args.model, "--data", args.data,
-            "--samples", str(args.samples), "--coalitions", str(args.coalitions),
-            "--seed", str(seed), "--out", args.out]
-    _write_manifest(args.out, "shap", argv,
-                    {"model": args.model, "data": args.data, "samples": args.samples,
-                     "coalitions": args.coalitions},
-                    {"seed": seed}, [args.model, args.data], [args.out])
+    _write_manifest(args, args.out, {"seed": args.seed}, [args.model, args.data], [args.out])
     print(f"shap ranking (one-indexed): {payload['order_one_indexed']} "
           f"({result.elapsed_ms:.1f} ms, {result.n_coalitions} coalitions)")
     return 0
@@ -279,12 +257,7 @@ def cmd_compare(args) -> int:
             payload["shap_matches"] = sum(row["shap_match"] for row in table)
     _write_json(args.out, payload)
 
-    argv = ["compare", "--rankings", *args.rankings]
-    if args.sidecar:
-        argv += ["--sidecar", args.sidecar]
-    argv += ["--out", args.out]
-    _write_manifest(args.out, "compare", argv, {"rankings": list(args.rankings),
-                    "sidecar": args.sidecar}, {},
+    _write_manifest(args, args.out, {},
                     list(args.rankings) + ([args.sidecar] if args.sidecar else []), [args.out])
     for label, row in zip(labels, matrix):
         print(f"spearman {label}: " + " ".join("n/a" if v is None else f"{v:+.4f}" for v in row))
@@ -292,9 +265,8 @@ def cmd_compare(args) -> int:
 
 
 def cmd_stability(args) -> int:
-    base_seed = _resolve_seed(args.base_seed)
     ds = data.load_csv(args.data)
-    run_seeds = [base_seed + r for r in range(args.n_runs)]
+    run_seeds = [args.base_seed + r for r in range(args.n_runs)]
     background = mean_background(ds.X)
 
     score_rankings, shap_rankings = [], []
@@ -308,7 +280,7 @@ def cmd_stability(args) -> int:
         train(model, train_ds.X, train_ds.y, ds.task,
               TrainConfig(epochs=args.epochs, lr=args.lr, batch_size=batch_size,
                           shuffle_seed=run_seed, record_every=args.epochs))
-        score_rankings.append(extract_ranking(model.scores_layer()))
+        score_rankings.append(extract_ranking(model.scores))
         idx = _sample_rows(ds.n, args.samples, run_seed)
         result = kernel_shap(model.predict, ds.X[idx], background,
                              n_coalitions=args.coalitions, seed=run_seed)
@@ -327,18 +299,7 @@ def cmd_stability(args) -> int:
         "shap_orders": [r.order for r in shap_rankings],
     }
     _write_json(args.out, payload)
-    argv = ["stability", "--data", args.data, "--backbone", args.backbone,
-            "--hidden", args.hidden, "--gate-index", str(args.gate_index),
-            "--epochs", str(args.epochs), "--lr", repr(args.lr),
-            "--batch-size", str(args.batch_size),
-            "--n-runs", str(args.n_runs), "--samples", str(args.samples),
-            "--coalitions", str(args.coalitions), "--base-seed", str(base_seed),
-            "--out", args.out]
-    _write_manifest(args.out, "stability", argv,
-                    {"data": args.data, "n_runs": args.n_runs, "epochs": args.epochs,
-                     "batch_size": args.batch_size, "samples": args.samples,
-                     "coalitions": args.coalitions},
-                    {"base_seed": base_seed, "run_seeds": run_seeds},
+    _write_manifest(args, args.out, {"base_seed": args.base_seed, "run_seeds": run_seeds},
                     [args.data], [args.out])
     print(f"mean rank variance: scores {payload['scores_mean_variance']:.4f} "
           f"vs shap {payload['shap_mean_variance']:.4f}")
@@ -358,9 +319,7 @@ def cmd_plot(args) -> int:
     for entry in trajectory:
         lines.append(str(entry["epoch"]) + "," + ",".join(repr(v) for v in entry["scores"]))
     Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
-    argv = ["plot", "--report", args.report, "--out", args.out]
-    _write_manifest(args.out, "plot", argv, {"report": args.report}, {},
-                    [args.report], [args.out])
+    _write_manifest(args, args.out, {}, [args.report], [args.out])
     print(f"wrote {len(trajectory)} trajectory rows x {d + 1} columns to {args.out}")
     return 0
 
@@ -469,6 +428,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        for dest in ("seed", "base_seed"):
+            if hasattr(args, dest):
+                setattr(args, dest, _resolve_seed(getattr(args, dest)))
         return args.func(args)
     except Exception as exc:  # runtime failures -> exit 1, message on stderr
         print(f"error: {exc}", file=sys.stderr)

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .scores import ScoresLayer, scores_to_weights
+from .scores import init_scores, scores_to_weights
 
 BACKBONES = ("mlp", "attention")
 
@@ -33,6 +33,9 @@ class DataLeaves:
         if X.shape != self.x_leaf.value.shape:
             raise ValueError(f"batch shape {X.shape} differs from graph "
                              f"shape {self.x_leaf.value.shape}")
+        if y.size != self.batch_rows:
+            raise ValueError(f"target length {y.size} differs from graph "
+                             f"shape {self.y_leaf.value.shape}")
         self.x_leaf.value = np.ascontiguousarray(X, dtype=np.float64)
         self.y_leaf.value = np.ascontiguousarray(y.reshape(-1, 1), dtype=np.float64)
 
@@ -98,12 +101,6 @@ class Model:
     def scores(self) -> np.ndarray | None:
         s = self.params.get("scores")
         return None if s is None else s[0]
-
-    def scores_layer(self) -> ScoresLayer:
-        if self.scores is None:
-            raise ValueError("model has no score gate")
-        return ScoresLayer(d=self.scores.shape[0], s=self.scores,
-                           init_strategy=self.config.score_init)
 
     def gate_weights(self) -> np.ndarray:
         return scores_to_weights(self.scores)
@@ -277,9 +274,6 @@ def build_model(config: ModelConfig, seed: int) -> Model:
         params["head_w"] = _uniform_fan_in(rng, m, (m, 1))
         params["head_b"] = np.zeros((1, 1))
     if config.gated:
-        from .scores import init_scores
-
-        layer = init_scores(config.gate_width(), config.score_init, seed=seed,
-                            values=config.score_init_values)
-        params["scores"] = layer.s.reshape(1, -1)
+        params["scores"] = init_scores(config.gate_width(), config.score_init, seed=seed,
+                                       values=config.score_init_values).reshape(1, -1)
     return Model(config, params)

@@ -12,27 +12,11 @@ import numpy as np
 from .autodiff import NumericError
 
 INIT_STRATEGIES = ("zero", "random-uniform", "from-values")
-PENALTY_KINDS = ("entropy",)
 RANKING_SOURCES = ("scores", "shap", "ground-truth")
 
 
-@dataclass
-class ScoresLayer:
-    """Learnable per-feature scores; softmax of ``s`` gives the gate weights."""
-
-    d: int
-    s: np.ndarray
-    init_strategy: str = "zero"
-
-    def weights(self) -> np.ndarray:
-        return scores_to_weights(self.s)
-
-    def snapshot(self) -> np.ndarray:
-        return self.s.copy()
-
-
 def init_scores(d: int, strategy: str = "zero", seed: int = 0,
-                values=None) -> ScoresLayer:
+                values=None) -> np.ndarray:
     """Create a scores vector of length ``d``.
 
     ``zero`` starts all scores equal (uniform weights), ``random-uniform``
@@ -54,7 +38,7 @@ def init_scores(d: int, strategy: str = "zero", seed: int = 0,
         s = np.asarray(values, dtype=np.float64).reshape(-1).copy()
         if s.shape[0] != d:
             raise ValueError(f"from-values needs length {d}, got {s.shape[0]}")
-    return ScoresLayer(d=d, s=s, init_strategy=strategy)
+    return s
 
 
 def scores_to_weights(s) -> np.ndarray:
@@ -97,10 +81,8 @@ def analytic_grads(W, s, x) -> tuple[np.ndarray, np.ndarray]:
     return d_w, d_s
 
 
-def sparsity_penalty(weights, kind: str = "entropy", lam: float = 0.0) -> float:
+def sparsity_penalty(weights, lam: float = 0.0) -> float:
     """Optional score regularizer: lam * entropy(w)."""
-    if kind not in PENALTY_KINDS:
-        raise ValueError(f"unknown penalty kind {kind!r}")
     if lam < 0:
         raise ValueError("lambda must be >= 0")
     if lam == 0:
@@ -163,6 +145,6 @@ def ranking_from_values(values, source: str) -> Ranking:
                    source=source)
 
 
-def extract_ranking(layer: ScoresLayer) -> Ranking:
-    """Global feature ranking from the layer's softmax weights."""
-    return ranking_from_values(layer.weights(), source="scores")
+def extract_ranking(scores) -> Ranking:
+    """Global feature ranking from the softmax weights of a score vector."""
+    return ranking_from_values(scores_to_weights(scores), source="scores")

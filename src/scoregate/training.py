@@ -210,7 +210,7 @@ def train(model: Model, X: np.ndarray, y: np.ndarray, task: str, config: TrainCo
         if not gated or config.penalty == "none":
             return 0.0
         return sparsity_penalty(scores_to_weights(leaves["scores"].value[0]),
-                                config.penalty, config.penalty_lam)
+                                config.penalty_lam)
 
     def record_scores(epoch: int) -> None:
         if gated:

@@ -192,7 +192,7 @@ def build_c3() -> dict:
     runs = []
     for seed in range(5):
         ds, model, _ = train_synth_model(1000, 5, seed, (8,), 1000, 0.001, 64)
-        ranking = extract_ranking(model.scores_layer())
+        ranking = extract_ranking(model.scores)
         gt = ranking_from_values(ds.ground_truth_importances(), "ground-truth")
         runs.append({
             "seed": seed,
@@ -237,7 +237,7 @@ def build_c4() -> dict:
         model = build_model(cfg, seed)
         train(model, train_ds.X, train_ds.y, "classification",
               TrainConfig(epochs=2000, lr=0.01, batch_size=64, shuffle_seed=0))
-        order = extract_ranking(model.scores_layer()).order
+        order = extract_ranking(model.scores).order
         runs.append({"init": label, "seed": seed,
                      "order_one_indexed": one_indexed(order)})
     return {"criterion": 4, "runs": runs}
@@ -380,7 +380,7 @@ def build_c8() -> dict:
         model = build_model(ModelConfig(d_in=10, hidden=(8,), gated=True), r)
         train(model, train_ds.X, train_ds.y, "classification",
               TrainConfig(epochs=1000, lr=0.001, batch_size=64, shuffle_seed=r))
-        score_rankings.append(extract_ranking(model.scores_layer()))
+        score_rankings.append(extract_ranking(model.scores))
         idx = _sample_rows(ds.n, 50, r)
         result = kernel_shap(model.predict, ds.X[idx], background,
                              n_coalitions=256, seed=r)

@@ -286,6 +286,65 @@ def test_replay_reproduces_training_byte_for_byte(workdir, tmp_path):
     assert out_r.read_bytes() == report_bytes
 
 
+def _artifact(path):
+    """File content, with the wall-clock ``elapsed_ms`` of rank/SHAP payloads dropped."""
+    if path.suffix == ".json":
+        return {k: v for k, v in read_json(path).items() if k != "elapsed_ms"}
+    return path.read_bytes()
+
+
+# one recorded command per manifest-writing subcommand; {name} is a path in
+# the shared workdir or, for files the test writes, in tmp_path
+REPLAYED = {
+    "gen": ["gen", "--dataset", "synth", "--n", "20", "--noise", "1", "--out", "{out_csv}"],
+    "train": ["train", "--data", "{csv}", "--hidden", "3", "--epochs", "2",
+              "--batch-size", "8", "--record-every", "1",
+              "--out-model", "{out_json}", "--out-report", "{out_report}"],
+    "rank": ["rank", "--model", "{model}", "--out", "{out_json}"],
+    "shap": ["shap", "--model", "{model}", "--data", "{csv}", "--samples", "3",
+             "--coalitions", "32", "--out", "{out_json}"],
+    "compare": ["compare", "--rankings", "{rank}", "{rank}", "--sidecar", "{sidecar}",
+                "--out", "{out_json}"],
+    "stability": ["stability", "--data", "{csv}", "--hidden", "3", "--epochs", "1",
+                  "--batch-size", "0", "--n-runs", "2", "--samples", "3",
+                  "--coalitions", "32", "--out", "{out_json}"],
+    "plot": ["plot", "--report", "{report}", "--out", "{out_csv}"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(REPLAYED))
+def test_replay_reproduces_every_command(command, workdir, tmp_path, monkeypatch):
+    paths = {**{k: str(v) for k, v in workdir.items()}, "rank": str(tmp_path / "in_rank.json"),
+             "out_csv": str(tmp_path / "out.csv"), "out_json": str(tmp_path / "out.json"),
+             "out_report": str(tmp_path / "out_report.json")}
+    assert main(["rank", "--model", paths["model"], "--out", paths["rank"]]) == 0
+    monkeypatch.setenv("SCOREGATE_SEED", "7")
+    assert main([a.format(**paths) for a in REPLAYED[command]]) == 0
+    monkeypatch.delenv("SCOREGATE_SEED")
+
+    primary = Path(paths["out_csv"] if command in ("gen", "plot") else paths["out_json"])
+    manifest_path = primary.with_suffix(".manifest.json")
+    manifest = read_json(manifest_path)
+    assert manifest["command"] == command
+    params, argv = manifest["resolved_params"], manifest["argv"]
+    for key in ("seed", "base_seed"):
+        if key in params:
+            assert params[key] == 7  # the environment seed, resolved and recorded
+    for key, value in params.items():
+        if value is not None:
+            assert "--" + key.replace("_", "-") in argv
+
+    artifacts = [Path(p) for p in manifest["outputs"]] + [manifest_path]
+    recorded = {p: _artifact(p) for p in artifacts}
+    kept = tmp_path / "kept.manifest.json"
+    shutil.copy(manifest_path, kept)
+    for p in artifacts:
+        p.unlink()
+    assert main(["replay", "--manifest", str(kept)]) == 0
+    for p in artifacts:
+        assert _artifact(p) == recorded[p], p
+
+
 def test_replay_rejects_manifest_without_argv(tmp_path):
     bad = tmp_path / "m.json"
     bad.write_text("{}", encoding="utf-8")
@@ -309,6 +368,15 @@ def test_env_seed_fallback(tmp_path, monkeypatch):
     out3 = tmp_path / "c.csv"
     main(["gen", "--dataset", "synth", "--n", "20", "--noise", "0", "--out", str(out3)])
     assert read_json(out3.with_suffix(".sidecar.json"))["seed"] == 0
+
+
+def test_env_seed_must_be_an_integer(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("SCOREGATE_SEED", "abc")
+    out = tmp_path / "a.csv"
+    assert main(["gen", "--dataset", "synth", "--n", "20", "--noise", "0",
+                 "--out", str(out)]) == 1
+    assert "SCOREGATE_SEED must be an integer, got 'abc'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_usage_errors_exit_two(tmp_path):

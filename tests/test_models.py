@@ -117,6 +117,8 @@ def test_assign_validates_shapes():
         leaves.assign(np.ones((5, 3)), np.ones(5))
     with pytest.raises(ValueError):
         leaves.assign(np.ones((4, 2)), np.ones(4))
+    with pytest.raises(ValueError, match="differs from graph shape"):
+        leaves.assign(np.ones((4, 3)), np.ones(3))  # too few targets
 
     att = build_model(ModelConfig(d_in=3, backbone="attention", model_dim=4,
                                   ffn_dim=5), seed=0)
@@ -195,8 +197,6 @@ def test_save_load_round_trip(cfg, tmp_path):
 def test_vanilla_model_has_no_scores(tmp_path):
     model = build_model(ModelConfig(d_in=3, hidden=(2,)), seed=0)
     assert model.scores is None
-    with pytest.raises(ValueError):
-        model.scores_layer()
     path = tmp_path / "vanilla.json"
     model.save(path)
     assert Model.load(path).scores is None
@@ -206,7 +206,6 @@ def test_scores_property_is_a_live_view():
     model = build_model(ModelConfig(d_in=3, hidden=(2,), gated=True), seed=0)
     model.params["scores"][0, 0] = 5.0
     assert model.scores[0] == 5.0
-    assert model.scores_layer().s[0] == 5.0
     np.testing.assert_allclose(model.gate_weights(),
                                scores_to_weights(model.params["scores"][0]), rtol=1e-15)
 

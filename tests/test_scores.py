@@ -18,7 +18,6 @@ from mpmath import mp
 import scoregate.autodiff as ad
 from scoregate.scores import (
     Ranking,
-    ScoresLayer,
     analytic_grads,
     entropy_penalty_score_grad,
     extract_ranking,
@@ -236,28 +235,27 @@ def test_gate_accepts_lists_and_rejects_mismatch():
 
 
 def test_init_zero_gives_uniform_weights():
-    layer = init_scores(5, "zero")
-    assert np.all(layer.s == 0.0)
-    np.testing.assert_allclose(layer.weights(), np.full(5, 0.2), rtol=1e-15)
-    assert layer.init_strategy == "zero"
+    s = init_scores(5, "zero")
+    assert np.all(s == 0.0)
+    np.testing.assert_allclose(scores_to_weights(s), np.full(5, 0.2), rtol=1e-15)
 
 
 def test_init_random_uniform_seeded_and_bounded():
     a = init_scores(1000, "random-uniform", seed=42)
     b = init_scores(1000, "random-uniform", seed=42)
     c = init_scores(1000, "random-uniform", seed=43)
-    np.testing.assert_array_equal(a.s, b.s)
-    assert not np.array_equal(a.s, c.s)
-    assert np.all(a.s >= -1.0) and np.all(a.s <= 1.0)
+    np.testing.assert_array_equal(a, b)
+    assert not np.array_equal(a, c)
+    assert np.all(a >= -1.0) and np.all(a <= 1.0)
     # coarse uniformity: E|u| = 0.5, sd of the mean ~ 0.009
-    assert abs(np.abs(a.s).mean() - 0.5) < 0.05
+    assert abs(np.abs(a).mean() - 0.5) < 0.05
 
 
 def test_init_from_values_copies():
     vals = np.array([0.2, 0.3, 0.1])
-    layer = init_scores(3, "from-values", values=vals)
+    s = init_scores(3, "from-values", values=vals)
     vals[0] = 99.0
-    assert layer.s[0] == 0.2
+    assert s[0] == 0.2
 
 
 def test_init_scores_errors():
@@ -273,30 +271,17 @@ def test_init_scores_errors():
         init_scores(3, "from-values", values=[1.0, 2.0])
 
 
-def test_snapshot_is_a_copy():
-    layer = init_scores(4, "zero")
-    snap = layer.snapshot()
-    snap[0] = 7.0
-    assert layer.s[0] == 0.0
-    layer.s[1] = 2.0
-    assert snap[1] == 0.0
-
-
 # --- penalties -----------------------------------------------------------------
 
 
 def test_sparsity_penalty_values():
     w = np.full(4, 0.25)
-    assert sparsity_penalty(w, "entropy", 0.0) == 0.0
-    assert abs(sparsity_penalty(w, "entropy", 2.0) - 2.0 * math.log(4)) < 1e-14
+    assert sparsity_penalty(w, 0.0) == 0.0
+    assert abs(sparsity_penalty(w, 2.0) - 2.0 * math.log(4)) < 1e-14
     one_hot = np.array([1.0, 0.0, 0.0])
-    assert sparsity_penalty(one_hot, "entropy", 1.0) < 1e-12
+    assert sparsity_penalty(one_hot, 1.0) < 1e-12
     with pytest.raises(ValueError):
-        sparsity_penalty(w, "l1", 0.7)
-    with pytest.raises(ValueError):
-        sparsity_penalty(w, "l2", 1.0)
-    with pytest.raises(ValueError):
-        sparsity_penalty(w, "entropy", -0.5)
+        sparsity_penalty(w, -0.5)
 
 
 def test_entropy_grad_matches_finite_differences():
@@ -355,11 +340,11 @@ def test_ranking_round_trip():
 
 
 def test_extract_ranking_uses_current_weights():
-    layer = ScoresLayer(d=3, s=np.array([0.0, 3.0, 1.0]))
-    r = extract_ranking(layer)
+    s = np.array([0.0, 3.0, 1.0])
+    r = extract_ranking(s)
     assert r.order == [1, 2, 0]
     assert r.source == "scores"
-    np.testing.assert_allclose(r.values, scores_to_weights(layer.s), rtol=1e-15)
+    np.testing.assert_allclose(r.values, scores_to_weights(s), rtol=1e-15)
 
 
 @given(st.lists(st.floats(-20, 20), min_size=2, max_size=8, unique=True),
@@ -367,6 +352,6 @@ def test_extract_ranking_uses_current_weights():
 @settings(max_examples=50, deadline=None)
 def test_extract_ranking_shift_invariant(s, c):
     # softmax is shift-invariant, so the ranking must be too
-    base = extract_ranking(ScoresLayer(d=len(s), s=np.array(s)))
-    moved = extract_ranking(ScoresLayer(d=len(s), s=np.array(s) + c))
+    base = extract_ranking(np.array(s))
+    moved = extract_ranking(np.array(s) + c)
     assert base.order == moved.order
