@@ -1,9 +1,28 @@
 """Reverse-mode automatic differentiation over dense 2-D float64 arrays.
 
 Graphs are built define-by-run: constructing a node evaluates it immediately.
-``backward`` fills ``grad`` on every node reachable from a scalar loss, and
-``grad_check`` verifies analytic gradients against central finite differences
-by re-evaluating the graph under perturbed leaf values.
+``recompute`` re-runs the forward pass from the current leaf values,
+``backward`` fills ``grad`` on every node between a scalar loss and its
+trainable leaves, and ``grad_check`` verifies analytic gradients against
+central finite differences by re-evaluating the graph under perturbed leaf
+values.
+
+Leaves come in two kinds. A ``leaf`` is trainable: ``backward`` returns its
+gradient. A ``constant`` (data, targets, fixed matrices) never takes one, and
+neither does any node computed from constants alone, so ``backward`` skips the
+products and logs that only such nodes would receive.
+
+The first ``recompute`` or ``backward`` of a root compiles its graph into a
+tape cached on the root: the non-leaf nodes in topological order for the
+forward pass, and, reversed, the nodes that depend on a trainable leaf for
+the backward pass. A node's ``parents`` never change after construction, so
+the tape stays valid for the life of the graph however its leaf values are
+edited or rebound. ``backward`` keeps each node's ``grad`` buffer and zeroes
+it in place on the next call; the arrays it returns are those buffers.
+
+Every forward op checks its output for NaN and Inf. Checking only the loss
+would miss overflow: ``sigmoid(inf)`` is exactly 1.0, so a matmul that
+overflows can still leave the loss finite.
 
 Vectors are represented as 1xN row matrices. The only broadcasting supported
 is a 1xN right operand of ``add``/``hadamard`` repeated across the rows of an
@@ -40,11 +59,13 @@ def as_matrix(values) -> np.ndarray:
 class Node:
     """One step of the computation: an op kind, parent nodes, and a value.
 
-    ``grad`` is populated by ``backward`` and has the same shape as ``value``.
-    ``aux`` carries op-specific constants (scale factor, loss target).
+    ``grad`` is populated by ``backward`` and has the same shape as ``value``;
+    it stays ``None`` on nodes that depend on no trainable leaf. ``aux``
+    carries op-specific constants (scale factor, loss target). ``tape`` caches
+    the compiled graph under this node once it has been used as a root.
     """
 
-    __slots__ = ("op", "parents", "value", "grad", "aux")
+    __slots__ = ("op", "parents", "value", "grad", "aux", "tape")
 
     def __init__(self, op: str, parents: tuple["Node", ...], value: np.ndarray, aux=None):
         self.op = op
@@ -52,6 +73,7 @@ class Node:
         self.value = value
         self.grad: np.ndarray | None = None
         self.aux = aux
+        self.tape: tuple[list[Node], list[Node], list[Node]] | None = None
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -62,7 +84,7 @@ class Node:
 
 
 def _check_finite(op: str, value: np.ndarray) -> np.ndarray:
-    if not np.all(np.isfinite(value)):
+    if not np.isfinite(value).all():
         raise NumericError(f"{op} produced a non-finite value")
     return value
 
@@ -72,9 +94,18 @@ def _broadcast_ok(a: np.ndarray, b: np.ndarray) -> bool:
 
 
 def leaf(values) -> Node:
+    """A trainable input; it aliases ``values`` when that is already a
+    2-D float64 array."""
     value = as_matrix(values)
     _check_finite("leaf", value)
     return Node("leaf", (), value)
+
+
+def constant(values) -> Node:
+    """An input that never takes a gradient: data, targets, fixed matrices."""
+    node = leaf(values)
+    node.op = "constant"
+    return node
 
 
 def _stable_softmax_rows(x: np.ndarray) -> np.ndarray:
@@ -234,40 +265,60 @@ def topo_order(root: Node) -> list[Node]:
     return order
 
 
+def _tape(root: Node) -> tuple[list[Node], list[Node], list[Node]]:
+    """The graph under ``root`` compiled once and cached on it: the non-leaf
+    nodes in topological order, the nodes that depend on a trainable leaf in
+    reverse order, and the trainable leaves in topological order."""
+    if root.tape is None:
+        order = topo_order(root)
+        live: set[Node] = set()
+        for node in order:
+            if node.op == "leaf" or any(p in live for p in node.parents):
+                live.add(node)
+        root.tape = ([n for n in order if n.parents],
+                     [n for n in reversed(order) if n in live],
+                     [n for n in order if n.op == "leaf"])
+    return root.tape
+
+
 def recompute(root: Node) -> np.ndarray:
     """Re-run the forward pass from current leaf values; returns root value."""
-    for node in topo_order(root):
-        if node.op != "leaf":
-            node.value = _forward(node.op, [p.value for p in node.parents], node.aux)
+    for node in _tape(root)[0]:
+        node.value = _forward(node.op, [p.value for p in node.parents], node.aux)
     return root.value
 
 
 def _accumulate(node: Node) -> None:
+    """Add ``node.grad``'s contribution to each parent that keeps a gradient;
+    a unary op's parent always does, since the node itself depends on a
+    trainable leaf."""
     g = node.grad
     op = node.op
     if op == "matmul":
         a, b = node.parents
-        a.grad += g @ b.value.T
-        b.grad += a.value.T @ g
+        if a.grad is not None:
+            a.grad += g @ b.value.T
+        if b.grad is not None:
+            b.grad += a.value.T @ g
     elif op == "block_matmul":
         a, b = node.parents
         a3, b3 = _as_blocks(a.value, b.value, node.aux)
         g3 = g.reshape(a3.shape[0], -1, g.shape[1])
-        a.grad += (g3 @ b3.transpose(0, 2, 1)).reshape(a.value.shape)
-        gb = a3.transpose(0, 2, 1) @ g3
-        b.grad += (gb.transpose(0, 2, 1) if node.aux[1] else gb).reshape(b.value.shape)
+        if a.grad is not None:
+            a.grad += (g3 @ b3.transpose(0, 2, 1)).reshape(a.value.shape)
+        if b.grad is not None:
+            gb = a3.transpose(0, 2, 1) @ g3
+            b.grad += (gb.transpose(0, 2, 1) if node.aux[1] else gb).reshape(b.value.shape)
     elif op in ("add", "hadamard"):
         a, b = node.parents
-        if op == "add":
-            ga, gb = g, g
-        else:
-            ga = g * b.value  # b broadcasts if 1xN
-            gb = g * a.value
-        a.grad += ga
-        if b.value.shape == g.shape:
-            b.grad += gb
-        else:
-            b.grad += gb.sum(axis=0, keepdims=True)
+        if a.grad is not None:
+            a.grad += g if op == "add" else g * b.value  # b broadcasts if 1xN
+        if b.grad is not None:
+            gb = g if op == "add" else g * a.value
+            if b.value.shape == g.shape:
+                b.grad += gb
+            else:
+                b.grad += gb.sum(axis=0, keepdims=True)
     elif op == "softmax_rows":
         (a,) = node.parents
         w = node.value
@@ -287,45 +338,63 @@ def _accumulate(node: Node) -> None:
     elif op == "bce_loss":
         p, t = node.parents
         pc = np.clip(p.value, BCE_CLIP, 1.0 - BCE_CLIP)
-        unclipped = p.value == pc
         n = p.value.size
-        p.grad += g[0, 0] * unclipped * (-t.value / pc + (1.0 - t.value) / (1.0 - pc)) / n
-        t.grad += g[0, 0] * (np.log(1.0 - pc) - np.log(pc)) / n
+        if p.grad is not None:
+            unclipped = p.value == pc
+            p.grad += g[0, 0] * unclipped * (-t.value / pc + (1.0 - t.value) / (1.0 - pc)) / n
+        if t.grad is not None:
+            t.grad += g[0, 0] * (np.log(1.0 - pc) - np.log(pc)) / n
     elif op == "mse_loss":
         p, t = node.parents
         d = g[0, 0] * 2.0 * (p.value - t.value) / p.value.size
-        p.grad += d
-        t.grad += -d
-    elif op != "leaf":
+        if p.grad is not None:
+            p.grad += d
+        if t.grad is not None:
+            t.grad += -d
+    else:
         raise ValueError(f"unknown op kind: {op}")
 
 
 def backward(loss: Node) -> dict[Node, np.ndarray]:
-    """Populate ``grad`` on every node reachable from a 1x1 loss.
+    """Populate ``grad`` on every node between a 1x1 loss and its trainable
+    leaves.
 
     Grads are reset first, so repeated calls are idempotent. Returns a map
-    from each reachable leaf to its gradient array.
+    from each trainable leaf the loss depends on to its gradient array; a
+    ``constant`` leaf has no entry. The arrays are the nodes' kept ``grad``
+    buffers, so the next ``backward`` through them overwrites them: copy one
+    to keep it.
     """
     if loss.value.shape != (1, 1):
         raise ValueError(f"backward requires a scalar (1x1) loss, got {loss.value.shape}")
-    order = topo_order(loss)
-    for node in order:
-        node.grad = np.zeros_like(node.value)
+    _, live, leaves = _tape(loss)
+    if not live:
+        return {}
+    for node in live:
+        g = node.grad
+        if g is None or g.shape != node.value.shape:
+            node.grad = np.zeros_like(node.value)
+        else:
+            g.fill(0.0)
     loss.grad[0, 0] = 1.0
-    for node in reversed(order):
-        _accumulate(node)
-    return {n: n.grad for n in order if n.op == "leaf"}
+    for node in live:
+        if node.parents:
+            _accumulate(node)
+    return {n: n.grad for n in leaves}
 
 
 def grad_check(loss: Node, target_leaf: Node, eps: float = 1e-6) -> float:
     """Max relative error between analytic and central-difference gradients.
 
     Per entry the error is |analytic - numeric| / max(|analytic|, |numeric|,
-    1e-12). A leaf the loss does not depend on yields 0. The leaf's values
-    are restored (and the graph re-evaluated) before returning.
+    1e-12). A leaf the loss does not depend on yields 0; a ``constant`` takes
+    no gradient and is rejected. The leaf's values are restored (and the graph
+    re-evaluated) before returning.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
+    if target_leaf.op == "constant":
+        raise ValueError("a constant takes no gradient to check")
     grads = backward(loss)
     analytic = grads.get(target_leaf)
     if analytic is None:

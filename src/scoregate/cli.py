@@ -3,10 +3,11 @@ baselines, comparisons, stability experiments, and plot-data export.
 
 Every command writes a run manifest next to its primary output, built from
 the parsed arguments; ``replay`` re-executes a manifest's resolved argument
-vector, reproducing the artifacts. Exit codes: 0 success, 1 runtime failure,
-2 usage error. The ``SCOREGATE_SEED`` environment variable overrides the
-built-in default seed wherever ``--seed`` (``--base-seed`` for ``stability``)
-is not given explicitly.
+vector from the working directory it was recorded in, reproducing the
+artifacts. Exit codes: 0 success, 1 runtime failure, 2 usage error. The
+``SCOREGATE_SEED`` environment variable overrides the built-in default seed
+wherever ``--seed`` (``--base-seed`` for ``stability``) is not given
+explicitly.
 """
 
 from __future__ import annotations
@@ -54,7 +55,8 @@ def _manifest_path(primary_out) -> Path:
 def _write_manifest(args, primary_out, seeds: dict, inputs: list[str],
                     outputs: list[str]) -> None:
     """Record every parsed option of the command, seeds already resolved, both
-    as ``resolved_params`` and as the ``argv`` that ``replay`` re-runs."""
+    as ``resolved_params`` and as the ``argv`` that ``replay`` re-runs, with
+    the working directory that relative paths in it are resolved against."""
     params = {k: v for k, v in vars(args).items() if k not in ("command", "func")}
     argv = [args.command]
     for dest, value in params.items():
@@ -64,6 +66,7 @@ def _write_manifest(args, primary_out, seeds: dict, inputs: list[str],
     _write_json(_manifest_path(primary_out), {
         "command": args.command,
         "argv": argv,
+        "cwd": os.getcwd(),
         "resolved_params": params,
         "seeds": seeds,
         "inputs": inputs,
@@ -329,8 +332,14 @@ def cmd_replay(args) -> int:
     argv = manifest.get("argv")
     if not argv:
         raise ValueError(f"{args.manifest} has no argv to replay")
-    print(f"replaying: {' '.join(argv)}")
-    return main(argv)
+    caller = os.getcwd()
+    cwd = manifest.get("cwd", caller)  # manifests from before cwd was recorded
+    print(f"replaying in {cwd}: {' '.join(argv)}")
+    os.chdir(cwd)
+    try:
+        return main(argv)
+    finally:
+        os.chdir(caller)
 
 
 # -- parser -------------------------------------------------------------------------

@@ -127,16 +127,16 @@ class Model:
         d, m = cfg.d_in, cfg.model_dim
         n = x_leaf.value.shape[0]
         leaves = {name: ad.leaf(arr) for name, arr in self.params.items()}
-        tile = ad.leaf(np.tile(np.eye(d), (n, 1)))  # one d x d identity per sample
+        tile = ad.constant(np.tile(np.eye(d), (n, 1)))  # one d x d identity per sample
         x = x_leaf
         if cfg.gated:
             x = ad.hadamard(x, ad.softmax_rows(leaves["scores"]))
         x_col = ad.block_matmul(tile, x, n, transpose_b=True)  # x[k, i] at row k*d + i
-        x_mat = ad.matmul(x_col, ad.leaf(np.ones((1, m))))
+        x_mat = ad.matmul(x_col, ad.constant(np.ones((1, m))))
         tokens = ad.add(ad.hadamard(ad.matmul(tile, leaves["emb"]), x_mat),
                         ad.matmul(tile, leaves["pos"]))
         block = attention_block(tokens, leaves, m, n)
-        pooled = ad.block_matmul(ad.leaf(np.full((n, d), 1.0 / d)), block, n)  # n x m
+        pooled = ad.block_matmul(ad.constant(np.full((n, d), 1.0 / d)), block, n)  # n x m
         return ad.sigmoid(ad.add(ad.matmul(pooled, leaves["head_w"]), leaves["head_b"])), leaves
 
     def loss_graph(self, X: np.ndarray, y: np.ndarray, loss_kind: str) \
@@ -155,7 +155,7 @@ class Model:
             raise ad.ShapeError(f"model expects {self.config.d_in} features, got {X.shape[1]}")
         loss_fn = ad.bce_loss if loss_kind == "bce" else ad.mse_loss
         build = self._mlp_graph if self.config.backbone == "mlp" else self._attention_graph
-        x_leaf, y_leaf = ad.leaf(X), ad.leaf(y)
+        x_leaf, y_leaf = ad.constant(X), ad.constant(y)
         pred, leaves = build(x_leaf)
         return loss_fn(pred, y_leaf), pred, leaves, DataLeaves(x_leaf, y_leaf)
 

@@ -136,28 +136,35 @@ def normalize_targets(y: np.ndarray) -> tuple[np.ndarray, float, float]:
 
 
 def adam_init(params: dict[str, np.ndarray]) -> dict:
-    return {
-        "t": 0,
-        "m": {k: np.zeros_like(v) for k, v in params.items()},
-        "v": {k: np.zeros_like(v) for k, v in params.items()},
-    }
+    """Adam state for ``params``: the step count and one flat first- and
+    second-moment vector over all parameters, in ``params``' order."""
+    size = sum(p.size for p in params.values())
+    return {"t": 0, "m": np.zeros(size), "v": np.zeros(size)}
 
 
 def adam_step(state: dict, params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
               cfg: TrainConfig) -> None:
-    """One in-place Adam update with bias correction."""
+    """One Adam update with bias correction over all parameters at once.
+
+    ``grads`` holds a gradient for every entry of ``params``. The update is
+    computed on one flat vector and written back into each parameter array
+    in place, element by element the same arithmetic as a per-array update.
+    """
     state["t"] += 1
     t = state["t"]
-    for name, g in grads.items():
-        m = state["m"][name]
-        v = state["v"][name]
-        m *= cfg.beta1
-        m += (1.0 - cfg.beta1) * g
-        v *= cfg.beta2
-        v += (1.0 - cfg.beta2) * g * g
-        m_hat = m / (1.0 - cfg.beta1 ** t)
-        v_hat = v / (1.0 - cfg.beta2 ** t)
-        params[name] -= cfg.lr * m_hat / (np.sqrt(v_hat) + cfg.eps)
+    g = np.concatenate([grads[name].ravel() for name in params])
+    m, v = state["m"], state["v"]
+    m *= cfg.beta1
+    m += (1.0 - cfg.beta1) * g
+    v *= cfg.beta2
+    v += (1.0 - cfg.beta2) * g * g
+    m_hat = m / (1.0 - cfg.beta1 ** t)
+    v_hat = v / (1.0 - cfg.beta2 ** t)
+    step = cfg.lr * m_hat / (np.sqrt(v_hat) + cfg.eps)
+    start = 0
+    for p in params.values():
+        p -= step[start:start + p.size].reshape(p.shape)
+        start += p.size
 
 
 # -- training loop -------------------------------------------------------------

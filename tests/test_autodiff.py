@@ -294,6 +294,52 @@ def test_recompute_tracks_rebound_leaf_values():
     assert ad.recompute(loss)[0, 0] == pytest.approx(6.0)
 
 
+def _logistic_loss(leaf_kind):
+    """bce(sigmoid((x + x @ ones) @ W), t) with x, ones and t made by ``leaf_kind``."""
+    x = leaf_kind(np.arange(12.0).reshape(4, 3) / 10.0)
+    fixed = ad.matmul(x, leaf_kind(np.ones((3, 3))))
+    W = ad.leaf(np.array([[0.3], [-0.2], [0.1]]))
+    t = leaf_kind(np.array([[0.0], [1.0], [1.0], [0.0]]))
+    return ad.bce_loss(ad.sigmoid(ad.matmul(ad.add(x, fixed), W)), t), x, fixed, W, t
+
+
+def test_backward_keeps_no_gradient_for_constants():
+    loss, x, fixed, W, t = _logistic_loss(ad.constant)
+    grads = ad.backward(loss)
+    assert list(grads) == [W]
+    assert x.grad is None and t.grad is None and fixed.grad is None
+    with pytest.raises(ValueError, match="constant"):
+        ad.grad_check(loss, x)
+    # skipping the constants does not change the trainable leaf's gradient
+    trainable_loss, *_, trainable_W, _ = _logistic_loss(ad.leaf)
+    assert np.array_equal(grads[W], ad.backward(trainable_loss)[trainable_W])
+
+
+def test_backward_reuses_its_gradient_buffers():
+    X = ad.leaf(np.array([[0.5, -1.0]]))
+    loss = ad.mean(ad.sigmoid(X))
+    first = ad.backward(loss)[X]
+    before = first.copy()
+    X.value[:] = 2.0
+    ad.recompute(loss)
+    second = ad.backward(loss)[X]
+    assert second is first  # overwritten in place by the second call
+    assert not np.array_equal(second, before)
+
+
+def test_recompute_checks_every_op_not_only_the_loss():
+    x = ad.constant(np.ones((2, 1)))
+    W = ad.leaf(np.ones((1, 1)))
+    loss = ad.bce_loss(ad.sigmoid(ad.matmul(x, W)), ad.constant(np.array([[0.0], [1.0]])))
+    ad.recompute(loss)  # compiles the tape
+    x.value[:] = 1e200
+    W.value[:] = 1e200
+    # sigmoid(inf) is exactly 1.0 and bce clips it, so the loss alone stays finite
+    with np.errstate(over="ignore"), \
+            pytest.raises(ad.NumericError, match="matmul produced a non-finite value"):
+        ad.recompute(loss)
+
+
 def test_leaf_aliases_caller_array():
     arr = np.zeros((2, 2))
     node = ad.leaf(arr)

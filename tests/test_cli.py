@@ -345,6 +345,27 @@ def test_replay_reproduces_every_command(command, workdir, tmp_path, monkeypatch
         assert _artifact(p) == recorded[p], p
 
 
+def test_replay_runs_in_the_recorded_directory(workdir, tmp_path, monkeypatch):
+    recorded, elsewhere = tmp_path / "recorded", tmp_path / "elsewhere"
+    recorded.mkdir()
+    elsewhere.mkdir()
+    shutil.copy(workdir["model"], recorded / "m.json")
+    monkeypatch.chdir(recorded)
+    assert main(["rank", "--model", "m.json", "--out", "rank.json"]) == 0
+    artifacts = [recorded / "rank.json", recorded / "rank.manifest.json"]
+    before = {p: _artifact(p) for p in artifacts}
+    shutil.copy(artifacts[1], elsewhere / "kept.manifest.json")
+    for p in artifacts:
+        p.unlink()
+
+    monkeypatch.chdir(elsewhere)
+    assert main(["replay", "--manifest", "kept.manifest.json"]) == 0
+    assert Path.cwd() == elsewhere  # the caller's directory is restored
+    for p in artifacts:
+        assert _artifact(p) == before[p], p
+    assert sorted(q.name for q in elsewhere.iterdir()) == ["kept.manifest.json"]
+
+
 def test_replay_rejects_manifest_without_argv(tmp_path):
     bad = tmp_path / "m.json"
     bad.write_text("{}", encoding="utf-8")

@@ -12,6 +12,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from scoregate.autodiff import NumericError
@@ -111,6 +113,37 @@ def test_exact_shapley_efficiency_symmetry_dummy():
     res2 = exact_shapley(predict, x, bg)
     total2 = float(predict(x.reshape(1, -1))[0]) - res2.base_value
     assert res2.phi[0].sum() == pytest.approx(total2, abs=1e-12)
+
+
+@pytest.mark.parametrize("method", ["exact", "kernel"])
+@given(d=st.integers(3, 6), hidden=st.integers(1, 6), gated=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=25, deadline=None)
+def test_shapley_axioms_on_random_mlps(method, d, hidden, gated, seed):
+    """Efficiency, symmetry and dummy on a random MLP in which features i and
+    j enter identically and feature k not at all; kernel SHAP is checked on
+    its full-enumeration path."""
+    rng = np.random.default_rng(seed)
+    i, j, k = (int(f) for f in rng.permutation(d)[:3])
+    model = build_model(ModelConfig(d_in=d, hidden=(hidden,), gated=gated,
+                                    score_init="random-uniform"), seed=seed)
+    W0 = model.params["W0"]
+    W0[j] = W0[i]
+    W0[k] = 0.0
+    if gated:
+        model.params["scores"][0, j] = model.params["scores"][0, i]
+    X = rng.normal(size=(2, d))
+    bg = rng.normal(size=d)
+    X[:, j], bg[j] = X[:, i], bg[i]
+
+    if method == "exact":
+        res, tol = exact_shapley(model.predict, X, bg), 1e-12
+    else:
+        res, tol = kernel_shap(model.predict, X, bg, n_coalitions=2 ** d), 1e-10
+    total = model.predict(X) - model.predict(bg.reshape(1, -1))[0]
+    np.testing.assert_allclose(res.phi.sum(axis=1), total, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(res.phi[:, i], res.phi[:, j], rtol=0, atol=tol)
+    np.testing.assert_allclose(res.phi[:, k], 0.0, rtol=0, atol=tol)
 
 
 def test_exact_shapley_input_validation():

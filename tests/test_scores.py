@@ -355,3 +355,12 @@ def test_extract_ranking_shift_invariant(s, c):
     base = extract_ranking(np.array(s))
     moved = extract_ranking(np.array(s) + c)
     assert base.order == moved.order
+
+
+@given(st.lists(st.integers(-20, 20), min_size=2, max_size=8), st.integers(-50, 50))
+@settings(max_examples=50, deadline=None)
+def test_extract_ranking_shift_invariant_with_ties(s, c):
+    # integer scores shift exactly, so tied scores stay tied and keep index order
+    base = extract_ranking(np.array(s, dtype=float))
+    moved = extract_ranking(np.array(s, dtype=float) + c)
+    assert base.order == moved.order

@@ -139,6 +139,23 @@ def test_mini_batch_train_matches_hand_rolled_loop():
         np.testing.assert_array_equal(trained.params[name], mirror.params[name])
 
 
+@pytest.mark.parametrize("backbone", ["mlp", "attention"])
+def test_train_orders_its_graph_once(backbone, monkeypatch):
+    orders = []
+    topo_order = ad.topo_order
+
+    def counted(root):
+        orders.append(root)
+        return topo_order(root)
+
+    monkeypatch.setattr(ad, "topo_order", counted)
+    X, y = class_data(16, 4, seed=0)
+    model = build_model(ModelConfig(d_in=4, backbone=backbone, hidden=(3,), model_dim=4,
+                                    ffn_dim=4, gated=True), seed=1)
+    train(model, X, y, "classification", TrainConfig(epochs=3, batch_size=4))
+    assert len(orders) == 1  # 12 steps, one graph
+
+
 def test_training_is_deterministic_and_seed_sensitive():
     X, y = class_data(24, 4, seed=3)
     mcfg = ModelConfig(d_in=4, hidden=(3,), gated=True)
