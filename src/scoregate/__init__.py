@@ -38,7 +38,6 @@ from .scores import (
     Ranking,
     analytic_grads,
     extract_ranking,
-    gate,
     init_scores,
     ranking_from_values,
     scores_to_weights,
@@ -51,7 +50,7 @@ __all__ = [
     "Dataset", "FeatureMeta", "Model", "ModelConfig", "NumericError", "Ranking",
     "ShapResult", "ShapeError", "TrainConfig", "TrainReport",
     "TrainingError", "analytic_grads", "augment_random_features", "backward",
-    "build_model", "exact_shapley", "extract_ranking", "gate", "gen_classification",
+    "build_model", "exact_shapley", "extract_ranking", "gen_classification",
     "gen_friedman1", "gen_friedman2", "gen_synthetic", "global_importance",
     "grad_check", "init_scores", "kernel_shap", "leaf", "load_csv",
     "mean_background", "rank_match_table", "rank_stability", "ranking_from_values",

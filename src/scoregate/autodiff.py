@@ -115,12 +115,8 @@ def _stable_softmax_rows(x: np.ndarray) -> np.ndarray:
 
 
 def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def _as_blocks(a: np.ndarray, b: np.ndarray, aux) -> tuple[np.ndarray, np.ndarray]:

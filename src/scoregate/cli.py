@@ -89,21 +89,19 @@ def _sample_rows(n: int, samples: int, seed: int) -> np.ndarray:
 # -- gen ----------------------------------------------------------------------
 
 
+# each dataset's generator and the flags it takes, in call order before the seed
+_GENERATORS = {
+    "synth": (data.gen_synthetic, ("n", "noise")),
+    "friedman1": (data.gen_friedman1, ("n", "sigma")),
+    "friedman2": (data.gen_friedman2, ("n", "sigma")),
+    "clf": (data.gen_classification, ("n", "d", "informative", "redundant", "duplicates")),
+}
+
+
 def cmd_gen(args) -> int:
-    if args.dataset == "synth":
-        ds = data.gen_synthetic(args.n, args.noise, args.seed)
-        params = {"n": args.n, "noise": args.noise}
-    elif args.dataset == "friedman1":
-        ds = data.gen_friedman1(args.n, args.sigma, args.seed)
-        params = {"n": args.n, "sigma": args.sigma}
-    elif args.dataset == "friedman2":
-        ds = data.gen_friedman2(args.n, args.sigma, args.seed)
-        params = {"n": args.n, "sigma": args.sigma}
-    else:
-        ds = data.gen_classification(args.n, args.d, args.informative, args.redundant,
-                                     args.duplicates, args.seed)
-        params = {"n": args.n, "d": args.d, "informative": args.informative,
-                  "redundant": args.redundant, "duplicates": args.duplicates}
+    generate, flags = _GENERATORS[args.dataset]
+    params = {flag: getattr(args, flag) for flag in flags}
+    ds = generate(*params.values(), args.seed)
 
     data.save_csv(ds, args.out)
     sidecar = Path(args.out).with_suffix(".sidecar.json")
@@ -354,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a dataset CSV plus ground-truth sidecar")
-    p.add_argument("--dataset", required=True, choices=["synth", "friedman1", "friedman2", "clf"])
+    p.add_argument("--dataset", required=True, choices=list(_GENERATORS))
     p.add_argument("--n", type=int, default=1000)
     p.add_argument("--noise", type=int, default=5, help="synth: number of irrelevant columns")
     p.add_argument("--sigma", type=float, default=0.0, help="friedman: target noise sd")

@@ -90,14 +90,15 @@ def exact_shapley(predict_fn, X: np.ndarray, background: np.ndarray) -> ShapResu
     w = _shapley_order_weights(d)
     base_value = float(predict_fn(bg.reshape(1, -1))[0])
 
+    # row i: the coalitions without feature i, and the same ones with it added
+    absent = np.stack([np.flatnonzero(~masks[:, i]) for i in range(d)])
+    present = absent + (1 << np.arange(d))[:, None]
+    weight = w[sizes[absent]]
     phi = np.zeros((n, d))
     for r in range(n):
         Z = np.where(masks, X[r][None, :], bg[None, :])
         vals = np.asarray(predict_fn(Z), dtype=np.float64).reshape(-1)
-        for i in range(d):
-            absent = ~masks[:, i]
-            m = np.flatnonzero(absent)
-            phi[r, i] = np.sum(w[sizes[m]] * (vals[m + (1 << i)] - vals[m]))
+        phi[r] = np.sum(weight * (vals[present] - vals[absent]), axis=1)
     return ShapResult(phi=phi, base_value=base_value, method="exact", n_coalitions=2 ** d,
                       elapsed_ms=(time.perf_counter() - t0) * 1000.0)
 

@@ -9,7 +9,7 @@ used for inference and Shapley sampling.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -72,20 +72,14 @@ class ModelConfig:
     def gate_width(self) -> int:
         return self.layer_dims()[self.gate_index]
 
-    def to_dict(self) -> dict:
-        return {
-            "d_in": self.d_in, "backbone": self.backbone, "hidden": list(self.hidden),
-            "model_dim": self.model_dim, "ffn_dim": self.ffn_dim, "gated": self.gated,
-            "gate_index": self.gate_index, "score_init": self.score_init,
-            "score_init_values": self.score_init_values,
-        }
-
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(d_in=int(d["d_in"]), backbone=d["backbone"], hidden=tuple(d["hidden"]),
-                   model_dim=int(d["model_dim"]), ffn_dim=int(d["ffn_dim"]), gated=bool(d["gated"]),
-                   gate_index=int(d["gate_index"]), score_init=d["score_init"],
-                   score_init_values=d["score_init_values"])
+        expected = {f.name for f in fields(cls)}
+        missing, unknown = sorted(expected - d.keys()), sorted(d.keys() - expected)
+        if missing or unknown:
+            raise ValueError(f"model config keys differ from ModelConfig: "
+                             f"missing {missing}, unknown {unknown}")
+        return cls(**d)
 
 
 class Model:
@@ -204,7 +198,7 @@ class Model:
             for name, arr in self.params.items() if name != "scores"
         }
         scores = None if self.scores is None else [float(v) for v in self.scores]
-        return {"config": self.config.to_dict(), "parameters": parameters, "scores": scores}
+        return {"config": {**vars(self.config)}, "parameters": parameters, "scores": scores}
 
     @classmethod
     def from_dict(cls, d: dict) -> "Model":

@@ -52,15 +52,6 @@ def scores_to_weights(s) -> np.ndarray:
     return e / e.sum()
 
 
-def gate(weights, X) -> np.ndarray:
-    """Scale every sample row of ``X`` elementwise by ``weights``."""
-    weights = np.asarray(weights, dtype=np.float64).reshape(-1)
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != weights.shape[0]:
-        raise ValueError(f"gate dimension mismatch: X {X.shape} vs weights ({weights.shape[0]},)")
-    return X * weights
-
-
 def analytic_grads(W, s, x) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form partials of the gated hidden layer y = (w * x) @ W.
 

@@ -9,7 +9,7 @@ as they stand *before* that epoch's updates.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
@@ -49,12 +49,6 @@ class TrainConfig:
         if self.penalty not in ("none", "entropy"):
             raise ValueError(f"unknown penalty {self.penalty!r}")
 
-    def to_dict(self) -> dict:
-        return {"epochs": self.epochs, "lr": self.lr, "batch_size": self.batch_size,
-                "shuffle_seed": self.shuffle_seed, "beta1": self.beta1, "beta2": self.beta2,
-                "eps": self.eps, "penalty": self.penalty, "penalty_lam": self.penalty_lam,
-                "record_every": self.record_every}
-
 
 @dataclass
 class EpochRecord:
@@ -81,29 +75,15 @@ class TrainReport:
     wall_time_ms: float = 0.0  # kept out of to_dict so reports stay bit-reproducible
 
     def to_dict(self) -> dict:
-        return {
-            "task": self.task,
-            "loss_kind": self.loss_kind,
-            "config": self.config.to_dict(),
-            "epochs_run": self.epochs_run,
-            "curve": [
-                {"epoch": r.epoch, "loss": r.loss, "accuracy": r.accuracy,
-                 "penalty": r.penalty, "test_accuracy": r.test_accuracy}
-                for r in self.curve
-            ],
-            "scores_trajectory": self.scores_trajectory,
-            "final_train_loss": self.final_train_loss,
-            "final_accuracy": self.final_accuracy,
-            "final_test_accuracy": self.final_test_accuracy,
-            "y_min": self.y_min,
-            "y_max": self.y_max,
-        }
+        d = {**vars(self), "config": {**vars(self.config)},
+             "curve": [{**vars(r)} for r in self.curve]}
+        del d["wall_time_ms"]
+        return d
 
     def save_curve_csv(self, path) -> None:
-        lines = ["epoch,loss,accuracy,penalty,test_accuracy"]
+        lines = [",".join(f.name for f in fields(EpochRecord))]
         for r in self.curve:
-            cell = "" if r.test_accuracy is None else repr(r.test_accuracy)
-            lines.append(f"{r.epoch},{r.loss!r},{r.accuracy!r},{r.penalty!r},{cell}")
+            lines.append(",".join("" if v is None else repr(v) for v in astuple(r)))
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")
 
@@ -201,6 +181,8 @@ def train(model: Model, X: np.ndarray, y: np.ndarray, task: str, config: TrainCo
         y_test_fit = None if y_test is None else (np.asarray(y_test, dtype=np.float64) - report.y_min) / span
         acc_threshold = float(np.median(y_fit))
     else:
+        if not np.all((y == 0.0) | (y == 1.0)):
+            raise ValueError("classification targets must be 0 or 1")
         y_fit, y_test_fit = y, None if y_test is None else np.asarray(y_test, dtype=np.float64)
         acc_threshold = 0.5
 

@@ -73,6 +73,22 @@ def test_gen_other_generators(tmp_path):
     assert ds.d == 6 and set(np.unique(ds.y)) == {0.0, 1.0}
 
 
+@pytest.mark.parametrize("dataset, flags, params", [
+    ("synth", ["--n", "30", "--noise", "3"], {"n": 30, "noise": 3}),
+    ("friedman1", ["--n", "30", "--sigma", "0.5"], {"n": 30, "sigma": 0.5}),
+    ("friedman2", ["--n", "30", "--sigma", "0.25"], {"n": 30, "sigma": 0.25}),
+    ("clf", ["--n", "40", "--d", "6", "--informative", "2", "--redundant", "1",
+             "--duplicates", "1"],
+     {"n": 40, "d": 6, "informative": 2, "redundant": 1, "duplicates": 1}),
+], ids=["synth", "friedman1", "friedman2", "clf"])
+def test_gen_sidecar_params(dataset, flags, params, tmp_path):
+    out = tmp_path / "ds.csv"
+    assert main(["gen", "--dataset", dataset, *flags, "--seed", "2", "--out", str(out)]) == 0
+    sidecar = read_json(out.with_suffix(".sidecar.json"))
+    assert sidecar["generator"] == dataset
+    assert sidecar["params"] == params
+
+
 def test_gen_bad_args_exit_one(tmp_path):
     assert main(["gen", "--dataset", "synth", "--n", "0",
                  "--out", str(tmp_path / "x.csv")]) == 1

@@ -8,19 +8,22 @@ forward pins the tiny-MLP case independently of both. Leaf swapping via
 new batch.
 """
 
+import json
 import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 import scoregate.autodiff as ad
 from scoregate.models import (
+    BACKBONES,
     Model,
     ModelConfig,
     batch_predictions,
     build_model,
 )
-from scoregate.scores import scores_to_weights
+from scoregate.scores import INIT_STRATEGIES, scores_to_weights
 from scoregate.training import TrainConfig, train
 
 
@@ -200,6 +203,54 @@ def test_vanilla_model_has_no_scores(tmp_path):
     path = tmp_path / "vanilla.json"
     model.save(path)
     assert Model.load(path).scores is None
+
+
+def _other_value(value):
+    """A valid value of the same kind that differs from ``value``."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, int):
+        return value + 1
+    if isinstance(value, tuple):
+        return tuple(v + 1 for v in value)
+    if isinstance(value, str):
+        group = next(g for g in (BACKBONES, INIT_STRATEGIES) if value in g)
+        return next(v for v in group if v != value)
+    assert value is None, value
+    return [0.25, -0.5]
+
+
+@pytest.mark.parametrize("name", [f.name for f in fields(ModelConfig)])
+def test_every_config_field_survives_save_load(name, tmp_path):
+    base = ModelConfig(d_in=4)
+    cfg = replace(base, **{name: _other_value(getattr(base, name))})
+    assert getattr(cfg, name) != getattr(base, name)
+    path = tmp_path / "model.json"
+    build_model(cfg, seed=0).save(path)
+    assert Model.load(path).config == cfg
+
+
+def _saved_config(tmp_path):
+    path = tmp_path / "model.json"
+    build_model(ModelConfig(d_in=3, hidden=(2,), gated=True), seed=0).save(path)
+    return json.loads(path.read_text(encoding="utf-8")), path
+
+
+@pytest.mark.parametrize("name", [f.name for f in fields(ModelConfig)])
+def test_load_names_a_missing_config_key(name, tmp_path):
+    raw, path = _saved_config(tmp_path)
+    del raw["config"][name]
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    with pytest.raises(ValueError, match=f"missing \\['{name}'\\]"):
+        Model.load(path)
+
+
+def test_load_names_an_unknown_config_key(tmp_path):
+    raw, path = _saved_config(tmp_path)
+    raw["config"]["dropout"] = 0.5
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    with pytest.raises(ValueError, match="unknown \\['dropout'\\]"):
+        Model.load(path)
 
 
 def test_scores_property_is_a_live_view():

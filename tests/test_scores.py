@@ -21,7 +21,6 @@ from scoregate.scores import (
     analytic_grads,
     entropy_penalty_score_grad,
     extract_ranking,
-    gate,
     init_scores,
     ranking_from_values,
     scores_to_weights,
@@ -206,29 +205,6 @@ def test_weights_sum_to_one_and_shift_invariant(s, c):
     assert np.all(w >= 0)
     shifted = scores_to_weights([v + c for v in s])
     np.testing.assert_allclose(shifted, w, rtol=1e-9, atol=1e-12)
-
-
-# --- gate --------------------------------------------------------------------
-
-
-def test_gate_matches_double_loop():
-    rng = np.random.default_rng(17)
-    X = rng.normal(size=(6, 4))
-    w = rng.uniform(size=4)
-    out = gate(w, X)
-    for i in range(6):
-        for j in range(4):
-            assert out[i, j] == X[i, j] * w[j]
-
-
-def test_gate_accepts_lists_and_rejects_mismatch():
-    out = gate([1.0, 2.0], [[1.0, 1.0], [3.0, 4.0]])
-    np.testing.assert_array_equal(out, [[1.0, 2.0], [3.0, 8.0]])
-    assert out.dtype == np.float64
-    with pytest.raises(ValueError):
-        gate([1.0, 2.0, 3.0], np.ones((2, 2)))
-    with pytest.raises(ValueError):
-        gate([1.0, 2.0], np.ones(2))  # 1-D input
 
 
 # --- init strategies ----------------------------------------------------------

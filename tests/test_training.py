@@ -10,6 +10,7 @@ shuffled-mini-batch protocols.
 
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -244,6 +245,27 @@ def test_wall_time_not_serialized():
     payload = report.to_dict()
     assert "wall_time_ms" not in json.dumps(payload)
     assert payload["config"]["batch_size"] is None
+
+
+def test_report_carries_every_train_config_field():
+    X, y = class_data(12, 3, seed=2)
+    cfg = TrainConfig(epochs=2, lr=0.01, batch_size=4, shuffle_seed=3, beta1=0.8,
+                      beta2=0.99, eps=1e-7, penalty="entropy", penalty_lam=0.1,
+                      record_every=1)
+    model = build_model(ModelConfig(d_in=3, hidden=(2,), gated=True), seed=0)
+    payload = train(model, X, y, "classification", cfg).to_dict()
+    assert set(payload["config"]) == {f.name for f in fields(TrainConfig)}
+    for f in fields(TrainConfig):
+        assert payload["config"][f.name] == getattr(cfg, f.name), f.name
+
+
+@pytest.mark.parametrize("row", [0, 10])
+def test_classification_rejects_a_soft_target_in_any_batch(row):
+    X, y = class_data(16, 3, seed=5)
+    y[row] = 0.5
+    model = build_model(ModelConfig(d_in=3, hidden=(2,)), seed=0)
+    with pytest.raises(ValueError, match="classification targets must be 0 or 1"):
+        train(model, X, y, "classification", TrainConfig(epochs=2, batch_size=4))
 
 
 def test_save_curve_csv_round_trips(tmp_path):
