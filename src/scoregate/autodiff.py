@@ -1,4 +1,4 @@
-"""Reverse-mode automatic differentiation over dense 2-D float64 arrays.
+"""Reverse-mode automatic differentiation over dense float64 arrays.
 
 Graphs are built define-by-run: constructing a node evaluates it immediately.
 ``recompute`` re-runs the forward pass from the current leaf values,
@@ -20,15 +20,16 @@ the tape stays valid for the life of the graph however its leaf values are
 edited or rebound. ``backward`` keeps each node's ``grad`` buffer and zeroes
 it in place on the next call; the arrays it returns are those buffers.
 
-Every forward op checks its output for NaN and Inf. Checking only the loss
-would miss overflow: ``sigmoid(inf)`` is exactly 1.0, so a matmul that
-overflows can still leave the loss finite.
+Every forward op checks its output for NaN and Inf (``reshape`` only views a
+checked value). Checking only the loss would miss overflow: ``sigmoid(inf)``
+is exactly 1.0, so a matmul that overflows can still leave the loss finite.
 
-Vectors are represented as 1xN row matrices. The only broadcasting supported
-is a 1xN right operand of ``add``/``hadamard`` repeated across the rows of an
-MxN left operand (bias rows, per-feature gates). A batch of small matrices is
-stored as a block stack: equal row blocks of one 2-D array, multiplied block by
-block with ``block_matmul``.
+Leaves are 2-D (vectors are 1xN rows); op outputs may have more axes. A batch
+of small matrices is a per-sample stack, an (n, p, q) array: ``matmul``
+batches over leading axes as ``np.matmul`` does, ``reshape`` moves between
+layouts, and ``add``/``hadamard`` broadcast as numpy does, each operand's
+gradient summed back to its own shape. A shared 2-D weight under a stacked
+operand takes its gradient as one 2-D product over all stacked rows.
 """
 
 from __future__ import annotations
@@ -76,7 +77,7 @@ class Node:
         self.tape: tuple[list[Node], list[Node], list[Node]] | None = None
 
     @property
-    def shape(self) -> tuple[int, int]:
+    def shape(self) -> tuple[int, ...]:
         return self.value.shape
 
     def __repr__(self) -> str:
@@ -87,10 +88,6 @@ def _check_finite(op: str, value: np.ndarray) -> np.ndarray:
     if not np.isfinite(value).all():
         raise NumericError(f"{op} produced a non-finite value")
     return value
-
-
-def _broadcast_ok(a: np.ndarray, b: np.ndarray) -> bool:
-    return a.shape == b.shape or (b.shape == (1, a.shape[1]))
 
 
 def leaf(values) -> Node:
@@ -119,37 +116,33 @@ def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def _as_blocks(a: np.ndarray, b: np.ndarray, aux) -> tuple[np.ndarray, np.ndarray]:
-    """3-D views of two block stacks, ``b``'s blocks transposed if asked."""
-    blocks, transpose_b = aux
-    if blocks < 1 or a.shape[0] % blocks or b.shape[0] % blocks:
-        raise ShapeError(f"cannot split {a.shape} and {b.shape} into {blocks} row blocks")
-    a3 = a.reshape(blocks, -1, a.shape[1])
-    b3 = b.reshape(blocks, -1, b.shape[1])
-    return a3, (b3.transpose(0, 2, 1) if transpose_b else b3)
+def _sum_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Sum a broadcast gradient back down to an operand of ``shape``."""
+    if g.shape == shape:
+        return g
+    lead = g.ndim - len(shape)
+    axes = tuple(range(lead)) + tuple(
+        lead + i for i, size in enumerate(shape) if size == 1 and g.shape[lead + i] != 1)
+    return g.sum(axis=axes).reshape(shape)
 
 
 def _forward(op: str, parent_values: list[np.ndarray], aux) -> np.ndarray:
-    if op == "matmul":
+    if op in ("matmul", "add", "hadamard"):
         a, b = parent_values
-        if a.shape[1] != b.shape[0]:
-            raise ShapeError(f"matmul inner dims differ: {a.shape} @ {b.shape}")
-        return _check_finite(op, a @ b)
-    if op == "block_matmul":
-        a3, b3 = _as_blocks(*parent_values, aux)
-        if a3.shape[2] != b3.shape[1]:
-            raise ShapeError(f"block_matmul inner dims differ: {a3.shape} @ {b3.shape}")
-        return _check_finite(op, (a3 @ b3).reshape(-1, b3.shape[2]))
-    if op == "add":
-        a, b = parent_values
-        if not _broadcast_ok(a, b):
-            raise ShapeError(f"add shapes incompatible: {a.shape} + {b.shape}")
-        return _check_finite(op, a + b)
-    if op == "hadamard":
-        a, b = parent_values
-        if not _broadcast_ok(a, b):
-            raise ShapeError(f"hadamard shapes incompatible: {a.shape} * {b.shape}")
-        return _check_finite(op, a * b)
+        try:
+            if op == "matmul":
+                out = a @ (b.mT if aux else b)
+            else:
+                out = a + b if op == "add" else a * b
+        except ValueError:
+            raise ShapeError(f"{op} shapes incompatible: {a.shape}, {b.shape}"
+                             + (" (b transposed)" if aux else "")) from None
+        return _check_finite(op, out)
+    if op == "reshape":  # a view of an already checked value
+        try:
+            return parent_values[0].reshape(aux)
+        except ValueError:
+            raise ShapeError(f"cannot reshape {parent_values[0].shape} to {aux}") from None
     if op == "softmax_rows":
         return _check_finite(op, _stable_softmax_rows(parent_values[0]))
     if op == "sigmoid":
@@ -179,19 +172,16 @@ def _unary(op: str, a: Node, aux=None) -> Node:
     return Node(op, (a,), _forward(op, [a.value], aux), aux)
 
 
-def matmul(a: Node, b: Node) -> Node:
-    return Node("matmul", (a, b), _forward("matmul", [a.value, b.value], None))
+def matmul(a: Node, b: Node, transpose_b: bool = False) -> Node:
+    """``a @ b`` (``a @ b^T`` over the last two axes when ``transpose_b``),
+    batched over leading axes as ``np.matmul`` does."""
+    aux = bool(transpose_b)
+    return Node("matmul", (a, b), _forward("matmul", [a.value, b.value], aux), aux)
 
 
-def block_matmul(a: Node, b: Node, blocks: int, transpose_b: bool = False) -> Node:
-    """Block-by-block matrix product of two block stacks.
-
-    ``a`` stacks ``blocks`` row blocks A_k (p x q) and ``b`` stacks blocks B_k
-    (q x r, or r x q when ``transpose_b``). The result stacks A_k @ B_k (or
-    A_k @ B_k^T) into a (blocks*p) x r matrix.
-    """
-    aux = (int(blocks), bool(transpose_b))
-    return Node("block_matmul", (a, b), _forward("block_matmul", [a.value, b.value], aux), aux)
+def reshape(a: Node, shape: tuple[int, ...]) -> Node:
+    """``a``'s values in a new layout, as ``np.reshape`` (one axis may be -1)."""
+    return _unary("reshape", a, aux=tuple(shape))
 
 
 def add(a: Node, b: Node) -> Node:
@@ -292,33 +282,27 @@ def _accumulate(node: Node) -> None:
     op = node.op
     if op == "matmul":
         a, b = node.parents
+        transpose_b = node.aux
         if a.grad is not None:
-            a.grad += g @ b.value.T
+            a.grad += _sum_to(g @ (b.value if transpose_b else b.value.mT), a.value.shape)
         if b.grad is not None:
-            b.grad += a.value.T @ g
-    elif op == "block_matmul":
-        a, b = node.parents
-        a3, b3 = _as_blocks(a.value, b.value, node.aux)
-        g3 = g.reshape(a3.shape[0], -1, g.shape[1])
-        if a.grad is not None:
-            a.grad += (g3 @ b3.transpose(0, 2, 1)).reshape(a.value.shape)
-        if b.grad is not None:
-            gb = a3.transpose(0, 2, 1) @ g3
-            b.grad += (gb.transpose(0, 2, 1) if node.aux[1] else gb).reshape(b.value.shape)
+            av = a.value
+            if b.value.ndim == 2 and av.ndim > 2:  # shared weight: one product over all rows
+                av, g = av.reshape(-1, av.shape[-1]), g.reshape(-1, g.shape[-1])
+            b.grad += _sum_to(g.mT @ av if transpose_b else av.mT @ g, b.value.shape)
     elif op in ("add", "hadamard"):
         a, b = node.parents
         if a.grad is not None:
-            a.grad += g if op == "add" else g * b.value  # b broadcasts if 1xN
+            a.grad += _sum_to(g if op == "add" else g * b.value, a.value.shape)
         if b.grad is not None:
-            gb = g if op == "add" else g * a.value
-            if b.value.shape == g.shape:
-                b.grad += gb
-            else:
-                b.grad += gb.sum(axis=0, keepdims=True)
+            b.grad += _sum_to(g if op == "add" else g * a.value, b.value.shape)
+    elif op == "reshape":
+        (a,) = node.parents
+        a.grad += g.reshape(a.value.shape)
     elif op == "softmax_rows":
         (a,) = node.parents
         w = node.value
-        a.grad += w * (g - (g * w).sum(axis=1, keepdims=True))
+        a.grad += w * (g - (g * w).sum(axis=-1, keepdims=True))
     elif op == "sigmoid":
         (a,) = node.parents
         a.grad += g * node.value * (1.0 - node.value)

@@ -1,9 +1,11 @@
 """Model architectures: an MLP or a single-head attention backbone ending in
 one sigmoid unit, with an optional score gate in front of a chosen layer.
 
-Each model offers two equivalent forward routes: ``loss_graph`` builds the
-autodiff graph used for training, and ``predict`` is a plain numpy fast path
-used for inference and Shapley sampling.
+Each backbone's forward pass is written once, in ``Model._forward``, against
+an op namespace: ``loss_graph`` runs it with ``autodiff`` on graph leaves to
+build the training graph, and ``predict`` runs it with ``NUMPY_OPS`` on the
+parameter arrays, a plain numpy fast path for inference and Shapley sampling.
+Both routes do the same arithmetic, so they give bit-identical outputs.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, fields
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -18,6 +21,20 @@ from . import autodiff as ad
 from .scores import init_scores, scores_to_weights
 
 BACKBONES = ("mlp", "attention")
+
+# The autodiff ops a forward pass uses, on plain arrays and with the same
+# arithmetic, minus the graph's shape and finiteness checks.
+NUMPY_OPS = SimpleNamespace(
+    constant=np.asarray,
+    matmul=lambda a, b, transpose_b=False: a @ (b.mT if transpose_b else b),
+    reshape=np.reshape,
+    add=np.add,
+    hadamard=np.multiply,
+    scale=lambda a, factor: factor * a,
+    relu=lambda a: np.maximum(a, 0.0),
+    sigmoid=ad._stable_sigmoid,
+    softmax_rows=ad._stable_softmax_rows,
+)
 
 
 class DataLeaves:
@@ -60,6 +77,9 @@ class ModelConfig:
             raise ValueError(f"unknown backbone {self.backbone!r}")
         if any(h < 1 for h in self.hidden):
             raise ValueError("hidden widths must be >= 1")
+        for name in ("model_dim", "ffn_dim"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         if self.gated:
             if self.backbone == "mlp" and not 0 <= self.gate_index < len(self.hidden) + 1:
                 raise ValueError("gate_index must address one of the model's layers")
@@ -102,93 +122,64 @@ class Model:
     def parameter_count(self) -> int:
         return sum(p.size for p in self.params.values())
 
-    # -- graph route ------------------------------------------------------
-
-    def _mlp_graph(self, x_leaf: ad.Node) -> tuple[ad.Node, dict[str, ad.Node]]:
+    def _forward(self, ops, x, params):
+        """The backbone's forward pass from (n, d_in) inputs to the (n, 1)
+        sigmoid output; ``ops`` is ``autodiff`` on graph nodes or ``NUMPY_OPS``
+        on arrays."""
         cfg = self.config
-        leaves = {name: ad.leaf(arr) for name, arr in self.params.items()}
-        h = x_leaf
-        n_layers = len(cfg.hidden) + 1
-        for i in range(n_layers):
-            if cfg.gated and cfg.gate_index == i:
-                h = ad.hadamard(h, ad.softmax_rows(leaves["scores"]))
-            z = ad.add(ad.matmul(h, leaves[f"W{i}"]), leaves[f"b{i}"])
-            h = ad.relu(z) if i < n_layers - 1 else ad.sigmoid(z)
-        return h, leaves
-
-    def _attention_graph(self, x_leaf: ad.Node) -> tuple[ad.Node, dict[str, ad.Node]]:
-        cfg = self.config
-        d, m = cfg.d_in, cfg.model_dim
-        n = x_leaf.value.shape[0]
-        leaves = {name: ad.leaf(arr) for name, arr in self.params.items()}
-        tile = ad.constant(np.tile(np.eye(d), (n, 1)))  # one d x d identity per sample
-        x = x_leaf
+        if cfg.backbone == "mlp":
+            n_layers = len(cfg.hidden) + 1
+            for i in range(n_layers):
+                if cfg.gated and cfg.gate_index == i:
+                    x = ops.hadamard(x, ops.softmax_rows(params["scores"]))
+                z = ops.add(ops.matmul(x, params[f"W{i}"]), params[f"b{i}"])
+                x = ops.relu(z) if i < n_layers - 1 else ops.sigmoid(z)
+            return x
+        # single-head self-attention with residual, then a 2-layer feed-forward
+        # with residual, over an (n, d, model_dim) stack of one token per
+        # feature. The calls are nested so that each (n, d, .) intermediate is
+        # freed once used: numpy reuses no temporary across function calls.
+        d, m, p = cfg.d_in, cfg.model_dim, params
         if cfg.gated:
-            x = ad.hadamard(x, ad.softmax_rows(leaves["scores"]))
-        x_col = ad.block_matmul(tile, x, n, transpose_b=True)  # x[k, i] at row k*d + i
-        x_mat = ad.matmul(x_col, ad.constant(np.ones((1, m))))
-        tokens = ad.add(ad.hadamard(ad.matmul(tile, leaves["emb"]), x_mat),
-                        ad.matmul(tile, leaves["pos"]))
-        block = attention_block(tokens, leaves, m, n)
-        pooled = ad.block_matmul(ad.constant(np.full((n, d), 1.0 / d)), block, n)  # n x m
-        return ad.sigmoid(ad.add(ad.matmul(pooled, leaves["head_w"]), leaves["head_b"])), leaves
+            x = ops.hadamard(x, ops.softmax_rows(p["scores"]))
+        tokens = ops.add(ops.hadamard(ops.reshape(x, (-1, d, 1)), p["emb"]), p["pos"])
+        tokens = ops.add(tokens, ops.matmul(  # softmax(q k^T / sqrt(m)) v
+            ops.softmax_rows(ops.scale(ops.matmul(ops.matmul(tokens, p["wq"]),
+                                                  ops.matmul(tokens, p["wk"]), transpose_b=True),
+                                       1.0 / np.sqrt(m))),
+            ops.matmul(tokens, p["wv"])))
+        tokens = ops.add(tokens, ops.add(ops.matmul(  # relu(t W1 + b1) W2 + b2
+            ops.relu(ops.add(ops.matmul(tokens, p["fw1"]), p["fb1"])), p["fw2"]), p["fb2"]))
+        # the mean over each sample's d tokens, as a (1, d) row of 1/d
+        pooled = ops.reshape(ops.matmul(ops.constant(np.full((1, d), 1.0 / d)), tokens), (-1, m))
+        return ops.sigmoid(ops.add(ops.matmul(pooled, p["head_w"]), p["head_b"]))
 
     def loss_graph(self, X: np.ndarray, y: np.ndarray, loss_kind: str) \
             -> tuple[ad.Node, ad.Node, dict[str, ad.Node], DataLeaves]:
         """Build the loss node over a batch.
 
         Returns (loss, prediction node, parameter leaves, data leaves).
-        Predictions stay live across ``recompute`` calls (read them with
-        ``batch_predictions``), and the data leaves accept new same-shaped
-        batches via ``DataLeaves.assign`` — that is how the training loop
-        iterates mini-batches over one prebuilt graph.
+        Predictions stay live across ``recompute`` calls (read them from the
+        prediction node's (n, 1) ``value``), and the data leaves accept new
+        same-shaped batches via ``DataLeaves.assign`` — that is how the
+        training loop iterates mini-batches over one prebuilt graph.
         """
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64).reshape(-1, 1)
         if X.shape[1] != self.config.d_in:
             raise ad.ShapeError(f"model expects {self.config.d_in} features, got {X.shape[1]}")
         loss_fn = ad.bce_loss if loss_kind == "bce" else ad.mse_loss
-        build = self._mlp_graph if self.config.backbone == "mlp" else self._attention_graph
         x_leaf, y_leaf = ad.constant(X), ad.constant(y)
-        pred, leaves = build(x_leaf)
+        leaves = {name: ad.leaf(arr) for name, arr in self.params.items()}
+        pred = self._forward(ad, x_leaf, leaves)
         return loss_fn(pred, y_leaf), pred, leaves, DataLeaves(x_leaf, y_leaf)
-
-    # -- numpy fast path ---------------------------------------------------
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Batch predictions in (0, 1); pure numpy, no graph construction."""
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.config.d_in:
             raise ad.ShapeError(f"model expects (n, {self.config.d_in}) inputs, got {X.shape}")
-        if self.config.backbone == "mlp":
-            return self._predict_mlp(X)
-        return self._predict_attention(X)
-
-    def _predict_mlp(self, X: np.ndarray) -> np.ndarray:
-        cfg = self.config
-        h = X
-        n_layers = len(cfg.hidden) + 1
-        for i in range(n_layers):
-            if cfg.gated and cfg.gate_index == i:
-                h = h * self.gate_weights()
-            z = h @ self.params[f"W{i}"] + self.params[f"b{i}"]
-            h = np.maximum(z, 0.0) if i < n_layers - 1 else ad._stable_sigmoid(z)
-        return h[:, 0]
-
-    def _predict_attention(self, X: np.ndarray) -> np.ndarray:
-        cfg, p = self.config, self.params
-        if cfg.gated:
-            X = X * self.gate_weights()
-        m = cfg.model_dim
-        tokens = X[:, :, None] * p["emb"][None] + p["pos"][None]  # (n, d, m)
-        q = tokens @ p["wq"]
-        k = tokens @ p["wk"]
-        v = tokens @ p["wv"]
-        att = ad._stable_softmax_rows(q @ k.transpose(0, 2, 1) / np.sqrt(m))
-        res1 = tokens + att @ v
-        ffn = np.maximum(res1 @ p["fw1"] + p["fb1"], 0.0) @ p["fw2"] + p["fb2"]
-        pooled = (res1 + ffn).mean(axis=1)  # (n, m)
-        return ad._stable_sigmoid(pooled @ p["head_w"] + p["head_b"])[:, 0]
+        return self._forward(NUMPY_OPS, X, self.params)[:, 0]
 
     # -- serialization -----------------------------------------------------
 
@@ -209,6 +200,9 @@ class Model:
         }
         if d["scores"] is not None:
             params["scores"] = np.asarray(d["scores"], dtype=np.float64).reshape(1, -1)
+        bad = sorted(name for name, arr in params.items() if not np.isfinite(arr).all())
+        if bad:  # predict would return NaN for them without an error
+            raise ad.NumericError(f"model parameters must be finite: {', '.join(bad)}")
         return cls(config, params)
 
     def save(self, path) -> None:
@@ -217,27 +211,6 @@ class Model:
     @classmethod
     def load(cls, path) -> "Model":
         return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
-
-
-def batch_predictions(pred: ad.Node) -> np.ndarray:
-    """Current prediction values from the node returned by ``loss_graph``."""
-    return pred.value[:, 0].copy()
-
-
-def attention_block(tokens: ad.Node, leaves: dict[str, ad.Node], model_dim: int,
-                    blocks: int) -> ad.Node:
-    """Single-head scaled dot-product self-attention with residual, then a
-    2-layer feed-forward with residual. ``tokens`` is a (blocks*d) x model_dim
-    stack of one d x model_dim block per sample; attention stays within a block."""
-    q = ad.matmul(tokens, leaves["wq"])
-    k = ad.matmul(tokens, leaves["wk"])
-    v = ad.matmul(tokens, leaves["wv"])
-    att = ad.softmax_rows(ad.scale(ad.block_matmul(q, k, blocks, transpose_b=True),
-                                   1.0 / np.sqrt(model_dim)))
-    res1 = ad.add(tokens, ad.block_matmul(att, v, blocks))
-    ffn = ad.add(ad.matmul(ad.relu(ad.add(ad.matmul(res1, leaves["fw1"]), leaves["fb1"])),
-                           leaves["fw2"]), leaves["fb2"])
-    return ad.add(res1, ffn)
 
 
 def _uniform_fan_in(rng: np.random.Generator, fan_in: int, shape) -> np.ndarray:

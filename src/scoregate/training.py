@@ -48,6 +48,10 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1 (or None for full batch)")
         if self.penalty not in ("none", "entropy"):
             raise ValueError(f"unknown penalty {self.penalty!r}")
+        if not self.penalty_lam >= 0:  # rejects NaN too
+            raise ValueError("penalty_lam must be >= 0")
+        if self.record_every < 1:
+            raise ValueError("record_every must be >= 1")
 
 
 @dataclass
@@ -167,6 +171,8 @@ def train(model: Model, X: np.ndarray, y: np.ndarray, task: str, config: TrainCo
     """
     if task not in TASKS:
         raise ValueError(f"unknown task {task!r}")
+    if (X_test is None) != (y_test is None):
+        raise ValueError("X_test and y_test must be given together")
     t0 = time.perf_counter()
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64).reshape(-1)

@@ -162,20 +162,65 @@ def test_scale_mean_backward_fd():
 
 
 @pytest.mark.parametrize("transpose_b", [False, True])
-def test_block_matmul_forward_per_block_and_backward_fd(transpose_b):
+def test_batched_matmul_forward_per_sample_and_backward_fd(transpose_b):
+    # (n,p,q) @ (q,r): a shared 2-D weight; (n,p,q) @ (n,r,q)^T: per-sample pairs
     rng = np.random.default_rng(31)
-    blocks, p, q, r = 3, 2, 4, 5
-    A = ad.leaf(rng.normal(size=(blocks * p, q)))
-    B = ad.leaf(rng.normal(size=(blocks * r, q) if transpose_b else (blocks * q, r)))
-    out = ad.block_matmul(A, B, blocks, transpose_b=transpose_b)
-    a3 = A.value.reshape(blocks, p, q)
-    b3 = B.value.reshape(blocks, -1, q if transpose_b else r)
-    expect = np.vstack([a3[k] @ (b3[k].T if transpose_b else b3[k]) for k in range(blocks)])
-    assert out.shape == (blocks * p, r)
+    n, p, q, r = 3, 2, 4, 5
+    A = ad.leaf(rng.normal(size=(n * p, q)))
+    B = ad.leaf(rng.normal(size=(n * r, q) if transpose_b else (q, r)))
+    a3 = ad.reshape(A, (n, p, q))
+    b = ad.reshape(B, (n, r, q)) if transpose_b else B
+    out = ad.matmul(a3, b, transpose_b=transpose_b)
+    expect = np.stack([a3.value[k] @ (b.value[k].T if transpose_b else b.value)
+                       for k in range(n)])
+    assert out.shape == (n, p, r)
     assert np.allclose(out.value, expect, atol=1e-14)
-    loss = ad.mean(ad.hadamard(out, ad.leaf(rng.normal(size=out.shape))))
+    loss = ad.mean(ad.hadamard(out, ad.leaf(rng.normal(size=(p, r)))))
     grads = ad.backward(loss)
     for leaf_node in (A, B):
+        assert rel_err(grads[leaf_node], numeric_grad(loss, leaf_node)) < 1e-6
+
+
+def test_shared_weight_gradient_is_one_product_over_all_stacked_rows():
+    rng = np.random.default_rng(5)
+    X = ad.leaf(rng.normal(size=(6, 4)))
+    W = ad.leaf(rng.normal(size=(4, 3)))
+    C = rng.normal(size=(6, 3))
+    stacked = ad.mean(ad.hadamard(ad.matmul(ad.reshape(X, (2, 3, 4)), W),
+                                  ad.reshape(ad.constant(C), (2, 3, 3))))
+    flat_X, flat_W = ad.leaf(X.value), ad.leaf(W.value)
+    flat = ad.mean(ad.hadamard(ad.matmul(flat_X, flat_W), ad.constant(C)))
+    assert stacked.value[0, 0] == flat.value[0, 0]
+    assert np.array_equal(ad.backward(stacked)[W], ad.backward(flat)[flat_W])
+
+
+def test_reshape_forward_and_backward_fd():
+    rng = np.random.default_rng(12)
+    X = ad.leaf(rng.normal(size=(4, 6)))
+    out = ad.reshape(X, (-1, 3, 2))
+    assert out.shape == (4, 3, 2)
+    assert np.array_equal(out.value, X.value.reshape(4, 3, 2))
+    loss = ad.mean(ad.hadamard(ad.sigmoid(out), ad.leaf(rng.normal(size=(3, 2)))))
+    assert rel_err(ad.backward(loss)[X], numeric_grad(loss, X)) < 1e-7
+
+
+@pytest.mark.parametrize("op", [ad.add, ad.hadamard])
+@pytest.mark.parametrize("a_shape, b_shape, stack_a", [
+    ((6, 1), (3, 4), (2, 3, 1)),   # (n,d,1) (.) (d,m)
+    ((6, 4), (1, 4), (2, 3, 4)),   # a (1,m) bias on an (n,d,m) stack
+    ((1, 3), (4, 3), None),        # broadcast on the left operand
+])
+def test_broadcast_add_and_hadamard_backward_fd(op, a_shape, b_shape, stack_a):
+    rng = np.random.default_rng(sum(a_shape) + sum(b_shape))
+    A = ad.leaf(rng.normal(size=a_shape))
+    B = ad.leaf(rng.normal(size=b_shape))
+    a = A if stack_a is None else ad.reshape(A, stack_a)
+    out = op(a, B)
+    assert out.shape == np.broadcast_shapes(a.shape, B.shape)
+    loss = ad.mean(ad.hadamard(ad.sigmoid(out), ad.leaf(rng.normal(size=out.shape[-2:]))))
+    grads = ad.backward(loss)
+    for leaf_node in (A, B):
+        assert grads[leaf_node].shape == leaf_node.shape
         assert rel_err(grads[leaf_node], numeric_grad(loss, leaf_node)) < 1e-6
 
 
@@ -358,19 +403,21 @@ def test_shape_errors():
         ad.add(ad.leaf(np.ones((2, 3))), ad.leaf(np.ones((3, 2))))
     with pytest.raises(ad.ShapeError):
         ad.hadamard(ad.leaf(np.ones((2, 3))), ad.leaf(np.ones((2, 2))))
+    stack = ad.reshape(ad.leaf(np.ones((6, 2))), (3, 2, 2))
     with pytest.raises(ad.ShapeError):
-        ad.block_matmul(ad.leaf(np.ones((4, 2))), ad.leaf(np.ones((3, 2))), 2)
+        ad.matmul(stack, ad.leaf(np.ones((3, 2))))  # 3-D inner dims differ
     with pytest.raises(ad.ShapeError):
-        ad.block_matmul(ad.leaf(np.ones((4, 2))), ad.leaf(np.ones((6, 2))), 2)
+        ad.matmul(stack, ad.reshape(ad.leaf(np.ones((6, 3))), (3, 2, 3)), transpose_b=True)
+    with pytest.raises(ad.ShapeError):
+        ad.add(stack, ad.leaf(np.ones((3, 2))))  # (3,2,2) and (3,2) do not broadcast
+    with pytest.raises(ad.ShapeError):
+        ad.hadamard(stack, ad.leaf(np.ones((2, 3))))
+    with pytest.raises(ad.ShapeError):
+        ad.reshape(ad.leaf(np.ones((6, 2))), (5, -1))
     with pytest.raises(ad.ShapeError):
         ad.bce_loss(ad.leaf(np.full((2, 1), 0.5)), ad.leaf(np.zeros((3, 1))))
     with pytest.raises(ad.ShapeError):
         ad.as_matrix(np.ones((2, 2, 2)))
-
-
-def test_add_broadcast_only_accepts_single_row_on_the_right():
-    with pytest.raises(ad.ShapeError):
-        ad.add(ad.leaf(np.ones((1, 3))), ad.leaf(np.ones((4, 3))))  # M x N on the right
 
 
 def test_numeric_errors():

@@ -1,11 +1,11 @@
 """Model validation.
 
-The central property is that the two forward routes agree: the autodiff
-graph built by ``loss_graph`` and the pure-numpy ``predict`` must give the
-same outputs for every backbone/gating combination, and a hand-rolled loop
-forward pins the tiny-MLP case independently of both. Leaf swapping via
-``DataLeaves.assign`` must behave exactly like rebuilding the graph on the
-new batch.
+The central property is that the one forward pass gives the same outputs on
+both backends: the autodiff graph built by ``loss_graph`` and the pure-numpy
+``predict`` must agree bit for bit for every backbone/gating combination, and
+a hand-rolled loop forward pins the tiny-MLP case independently of both. Leaf
+swapping via ``DataLeaves.assign`` must behave exactly like rebuilding the
+graph on the new batch.
 """
 
 import json
@@ -14,13 +14,14 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import scoregate.autodiff as ad
 from scoregate.models import (
     BACKBONES,
     Model,
     ModelConfig,
-    batch_predictions,
     build_model,
 )
 from scoregate.scores import INIT_STRATEGIES, scores_to_weights
@@ -48,10 +49,26 @@ CONFIGS = [
 def test_graph_forward_matches_numpy_predict(cfg):
     rng = np.random.default_rng(1)
     model = build_model(cfg, seed=2)
-    X, y = make_batch(rng, 6, cfg.d_in, binary=True)
+    for n in (1, 40):
+        X, y = make_batch(rng, n, cfg.d_in, binary=True)
+        _, pred, _, _ = model.loss_graph(X, y, "bce")
+        np.testing.assert_array_equal(pred.value[:, 0], model.predict(X))
+
+
+@given(st.sampled_from(BACKBONES), st.integers(1, 5), st.lists(st.integers(1, 6), min_size=1,
+       max_size=3), st.integers(0, 3), st.integers(1, 6), st.integers(1, 70),
+       st.integers(0, 2 ** 16))
+@settings(max_examples=40, deadline=None)
+def test_graph_and_predict_are_bit_identical(backbone, d_in, hidden, gate_index, width, n,
+                                             seed):
+    attention = backbone == "attention"
+    cfg = ModelConfig(d_in=d_in, backbone=backbone, hidden=tuple(hidden), model_dim=width,
+                      ffn_dim=width + 1, gated=gate_index <= (0 if attention else len(hidden)),
+                      gate_index=0 if attention else gate_index, score_init="random-uniform")
+    model = build_model(cfg, seed=seed)
+    X, y = make_batch(np.random.default_rng(seed), n, d_in, binary=True)
     _, pred, _, _ = model.loss_graph(X, y, "bce")
-    np.testing.assert_allclose(batch_predictions(pred), model.predict(X),
-                               rtol=1e-12, atol=1e-12)
+    np.testing.assert_array_equal(pred.value[:, 0], model.predict(X))
 
 
 def test_tiny_gated_mlp_against_loop_forward():
@@ -103,11 +120,11 @@ def test_assign_swaps_batches_like_a_fresh_graph(backbone):
     loss, pred, _, leaves = model.loss_graph(XA, yA, "bce")
     leaves.assign(XB, yB)
     swapped_loss = ad.recompute(loss)[0, 0]
-    swapped_pred = batch_predictions(pred)
+    swapped_pred = pred.value[:, 0].copy()
 
     fresh_loss, fresh_pred, _, _ = model.loss_graph(XB, yB, "bce")
     assert swapped_loss == fresh_loss.value[0, 0]
-    np.testing.assert_array_equal(swapped_pred, batch_predictions(fresh_pred))
+    np.testing.assert_array_equal(swapped_pred, fresh_pred.value[:, 0])
 
 
 def test_assign_validates_shapes():
@@ -253,6 +270,18 @@ def test_load_names_an_unknown_config_key(tmp_path):
         Model.load(path)
 
 
+@pytest.mark.parametrize("name", ["scores", "W0"])
+def test_load_rejects_non_finite_parameters(name, tmp_path):
+    raw, path = _saved_config(tmp_path)
+    if name == "scores":
+        raw["scores"][1] = float("nan")
+    else:
+        raw["parameters"][name]["data"][0] = float("inf")
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    with pytest.raises(ad.NumericError, match=f"must be finite: {name}"):
+        Model.load(path)
+
+
 def test_scores_property_is_a_live_view():
     model = build_model(ModelConfig(d_in=3, hidden=(2,), gated=True), seed=0)
     model.params["scores"][0, 0] = 5.0
@@ -275,6 +304,10 @@ def test_config_validation():
         ModelConfig(d_in=3, hidden=(4,), gated=True, gate_index=2)
     with pytest.raises(ValueError):
         ModelConfig(d_in=3, backbone="attention", gated=True, gate_index=1)
+    with pytest.raises(ValueError, match="model_dim must be >= 1"):
+        ModelConfig(d_in=3, backbone="attention", model_dim=0)
+    with pytest.raises(ValueError, match="ffn_dim must be >= 1"):
+        ModelConfig(d_in=3, backbone="attention", ffn_dim=0)
 
 
 def test_gate_width_follows_gate_index():
@@ -314,13 +347,3 @@ def test_loss_graph_rejects_wrong_width():
         model.predict(np.ones((4, 2)))
     with pytest.raises(ad.ShapeError):
         model.predict(np.ones(3))
-
-
-def test_batch_predictions_returns_a_copy():
-    model = build_model(ModelConfig(d_in=3, hidden=(2,)), seed=0)
-    rng = np.random.default_rng(1)
-    X, y = make_batch(rng, 4, 3)
-    _, pred, _, _ = model.loss_graph(X, y, "mse")
-    out = batch_predictions(pred)
-    out[:] = -1.0
-    assert not np.array_equal(batch_predictions(pred), out)

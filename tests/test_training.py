@@ -356,10 +356,18 @@ def test_config_and_task_validation():
         TrainConfig(batch_size=0)
     with pytest.raises(ValueError):
         TrainConfig(penalty="dropout")
+    with pytest.raises(ValueError, match="record_every must be >= 1"):
+        TrainConfig(record_every=0)
+    with pytest.raises(ValueError, match="penalty_lam must be >= 0"):
+        TrainConfig(penalty_lam=-0.1)  # rejected even while penalty="none"
     X, y = class_data(8, 3, seed=0)
     model = build_model(ModelConfig(d_in=3, hidden=(2,)), seed=0)
     with pytest.raises(ValueError):
         train(model, X, y, "clustering", TrainConfig(epochs=1))
+    with pytest.raises(ValueError, match="X_test and y_test must be given together"):
+        train(model, X, y, "classification", TrainConfig(epochs=1), X_test=X)
+    with pytest.raises(ValueError, match="X_test and y_test must be given together"):
+        train(model, X, y, "classification", TrainConfig(epochs=1), y_test=y)
 
 
 # --- reference metrics ---------------------------------------------------------------------
