@@ -29,6 +29,13 @@ class ShapResult:
     method: str  # "exact" | "kernel"
     n_coalitions: int
     elapsed_ms: float = 0.0
+    # kernel regression only (None for "exact" and for d = 1): the weighted
+    # design's condition number s[0] / s[-1], and the largest per-row gap
+    # |sum(phi) - (f(x) - base_value)|. The last feature's phi is set from
+    # that gap, so the residual is zero up to rounding by construction: it
+    # shows float error in phi, not a poor regression fit.
+    design_condition: float | None = None
+    efficiency_residual: float | None = None
 
     @property
     def n_samples(self) -> int:
@@ -47,13 +54,17 @@ class ShapResult:
             "n_samples": self.n_samples,
             "n_coalitions": self.n_coalitions,
             "elapsed_ms": self.elapsed_ms,
+            "design_condition": self.design_condition,
+            "efficiency_residual": self.efficiency_residual,
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "ShapResult":
         return cls(phi=np.asarray(d["phi"], dtype=np.float64), base_value=d["base_value"],
                    method=d["method"], n_coalitions=int(d["n_coalitions"]),
-                   elapsed_ms=float(d.get("elapsed_ms", 0.0)))
+                   elapsed_ms=float(d.get("elapsed_ms", 0.0)),
+                   design_condition=d.get("design_condition"),
+                   efficiency_residual=d.get("efficiency_residual"))
 
 
 def mean_background(X: np.ndarray) -> np.ndarray:
@@ -171,24 +182,30 @@ def kernel_shap(predict_fn, X: np.ndarray, background: np.ndarray, n_coalitions:
     # eliminate the last feature so the efficiency constraint holds exactly
     A = z[:, :-1] - z[:, -1:]
     sw = np.sqrt(weights)
-    Aw = A * sw[:, None]
+    # the weighted design is the same for every row: factor it once, with
+    # the rank rule of lstsq under rcond=None, and keep its pseudo-inverse
+    # with the weights folded in, so each row's solve is one matvec
+    U, s, Vt = np.linalg.svd(A * sw[:, None], full_matrices=False)
+    rank = int(np.count_nonzero(s > np.finfo(np.float64).eps * max(A.shape) * s[0]))
+    if rank < d - 1:
+        raise NumericError(
+            f"kernel regression design is singular (rank {rank} < {d - 1}); "
+            "increase n_coalitions")
+    solve = (Vt.T / s) @ (U.T * sw)  # (d-1, m)
 
+    delta = np.asarray(predict_fn(X), dtype=np.float64).reshape(-1) - base_value
     phi = np.zeros((n, d))
     for r in range(n):
         Z = np.where(masks, X[r][None, :], bg[None, :])
         vals = np.asarray(predict_fn(Z), dtype=np.float64).reshape(-1)
-        delta = float(predict_fn(X[r].reshape(1, -1))[0]) - base_value
-        target = vals - base_value - z[:, -1] * delta
-        sol, _, rank, _ = np.linalg.lstsq(Aw, target * sw, rcond=None)
-        if rank < d - 1:
-            raise NumericError(
-                f"kernel regression design is singular (rank {rank} < {d - 1}); "
-                "increase n_coalitions")
+        sol = solve @ (vals - base_value - z[:, -1] * delta[r])
         phi[r, :-1] = sol
-        phi[r, -1] = delta - sol.sum()
+        phi[r, -1] = delta[r] - sol.sum()
     return ShapResult(phi=phi, base_value=base_value, method="kernel",
                       n_coalitions=masks.shape[0] + 2,
-                      elapsed_ms=(time.perf_counter() - t0) * 1000.0)
+                      elapsed_ms=(time.perf_counter() - t0) * 1000.0,
+                      design_condition=float(s[0] / s[-1]),
+                      efficiency_residual=float(np.max(np.abs(phi.sum(axis=1) - delta))))
 
 
 # -- ranking comparison ------------------------------------------------------

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import NumericError
+from .autodiff import NumericError, _stable_softmax_rows
 
 INIT_STRATEGIES = ("zero", "random-uniform", "from-values")
 RANKING_SOURCES = ("scores", "shap", "ground-truth")
@@ -42,14 +42,15 @@ def init_scores(d: int, strategy: str = "zero", seed: int = 0,
 
 
 def scores_to_weights(s) -> np.ndarray:
-    """Softmax of the score vector, stabilized by max subtraction."""
+    """Softmax of the score vector, stabilized by max subtraction; computed by
+    the graph's ``softmax_rows`` arithmetic, so the gate weights read here
+    equal the forward pass's bit for bit."""
     s = np.asarray(s, dtype=np.float64).reshape(-1)
     if s.size < 1:
         raise ValueError("scores vector must have length >= 1")
     if not np.all(np.isfinite(s)):
         raise NumericError("scores must be finite")
-    e = np.exp(s - s.max())
-    return e / e.sum()
+    return _stable_softmax_rows(s)
 
 
 def analytic_grads(W, s, x) -> tuple[np.ndarray, np.ndarray]:

@@ -176,6 +176,7 @@ def test_shap_output(workdir, tmp_path):
     payload = read_json(out)
     assert len(payload["phi"]) == 5 and len(payload["phi"][0]) == 7
     assert payload["n_coalitions"] == 128  # d=7 fits inside the budget: full enum
+    assert payload["design_condition"] >= 1.0 and payload["efficiency_residual"] <= 1e-12
     assert payload["method"] == "kernel"
     assert payload["sample_indices"] == sorted(payload["sample_indices"])
     assert payload["ranking"]["source"] == "shap"

@@ -8,6 +8,7 @@ every subset.
 """
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from scoregate import explain
 from scoregate.autodiff import NumericError
 from scoregate.explain import (
     EXACT_MAX_FEATURES,
@@ -222,6 +224,102 @@ def test_kernel_shap_budget_validation():
         kernel_shap(predict, np.ones((1, 6)), np.zeros(5))
 
 
+def lstsq_reference(predict_fn, X, bg, n_coalitions, seed):
+    """Kernel SHAP as one ``np.linalg.lstsq`` per explained row, on the same
+    coalitions and weights as ``kernel_shap``."""
+    n, d = X.shape
+    base = float(predict_fn(bg.reshape(1, -1))[0])
+    if n_coalitions - 2 >= 2 ** d - 2:
+        masks, weights = explain._full_masks(d)
+    else:
+        rng = np.random.default_rng(np.random.SeedSequence(seed))
+        masks = explain._sample_masks(d, n_coalitions - 2, rng)
+        weights = np.ones(masks.shape[0])
+    z = masks.astype(np.float64)
+    A = z[:, :-1] - z[:, -1:]
+    sw = np.sqrt(weights)
+    phi = np.zeros((n, d))
+    for r in range(n):
+        vals = predict_fn(np.where(masks, X[r], bg))
+        delta = float(predict_fn(X[r].reshape(1, -1))[0]) - base
+        sol, _, rank, _ = np.linalg.lstsq(A * sw[:, None], (vals - base - z[:, -1] * delta) * sw,
+                                          rcond=None)
+        if rank < d - 1:
+            raise NumericError(f"rank {rank}")
+        phi[r, :-1] = sol
+        phi[r, -1] = delta - sol.sum()
+    return phi
+
+
+@given(d=st.integers(2, 16), full=st.booleans(), budget=st.integers(0, 2 ** 16),
+       gated=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_kernel_shap_matches_per_row_lstsq(d, full, budget, gated, seed):
+    """The design factored once per call solves every row as lstsq would."""
+    sampled_budgets = min(2 ** d - d - 2, 600)  # d + 2 up to below 2^d; none for d = 2
+    if full or sampled_budgets == 0:
+        d = min(d, 10)
+        n_coalitions = 2 ** d + budget % 8
+    else:
+        n_coalitions = d + 2 + budget % sampled_budgets
+    model = build_model(ModelConfig(d_in=d, hidden=(5,), gated=gated,
+                                    score_init="random-uniform"), seed=seed)
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(3, d))
+    bg = rng.normal(size=d)
+    try:
+        expect = lstsq_reference(model.predict, X, bg, n_coalitions, seed)
+    except NumericError:
+        with pytest.raises(NumericError, match="singular"):
+            kernel_shap(model.predict, X, bg, n_coalitions=n_coalitions, seed=seed)
+        return
+    res = kernel_shap(model.predict, X, bg, n_coalitions=n_coalitions, seed=seed)
+    np.testing.assert_allclose(res.phi, expect, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n_coalitions", [40, 2 ** 6])
+def test_kernel_shap_predicts_each_row_once_plus_two(n_coalitions):
+    # the background, all rows' f(x) in one batch, then one coalition batch per row
+    predict = mlp_predict(6, seed=4)
+    calls = []
+
+    def counted(Z):
+        calls.append(Z.shape[0])
+        return predict(Z)
+
+    X = np.random.default_rng(8).normal(size=(5, 6))
+    kernel_shap(counted, X, np.zeros(6), n_coalitions=n_coalitions, seed=2)
+    assert len(calls) == 5 + 2
+    assert calls[:2] == [1, 5]
+
+
+def test_kernel_shap_rejects_a_singular_design(monkeypatch):
+    # every sampled coalition the same: the design has rank 1 of the 3 needed
+    monkeypatch.setattr(explain, "_sample_masks",
+                        lambda d, m, rng: np.tile([True, False, True, False], (m, 1)))
+    predict = mlp_predict(4, seed=0)
+    with pytest.raises(NumericError,
+                       match=r"kernel regression design is singular \(rank 1 < 3\)"):
+        kernel_shap(predict, np.ones((2, 4)), np.zeros(4), n_coalitions=12)
+
+
+def test_kernel_shap_design_diagnostics():
+    predict = mlp_predict(7, seed=6)
+    rng = np.random.default_rng(9)
+    X = rng.normal(size=(4, 7))
+    bg = rng.normal(size=7)
+    for n_coalitions in (50, 2 ** 7):
+        res = kernel_shap(predict, X, bg, n_coalitions=n_coalitions, seed=1)
+        assert 1.0 <= res.design_condition < 1e3
+        gap = np.abs(res.phi.sum(axis=1) - (predict(X) - res.base_value)).max()
+        assert res.efficiency_residual == pytest.approx(gap, abs=1e-15)
+        assert res.efficiency_residual <= 1e-12
+    one = kernel_shap(lambda Z: Z[:, 0], np.ones((2, 1)), np.zeros(1), n_coalitions=4)
+    assert one.design_condition is None and one.efficiency_residual is None
+    exact = exact_shapley(predict, X, bg)
+    assert exact.design_condition is None and exact.efficiency_residual is None
+
+
 def test_kernel_weight_values():
     # hand-computed for d = 4: (d-1) / (C(d,k) * k * (d-k))
     assert shapley_kernel_weight(4, 1) == pytest.approx(3 / 12)
@@ -257,6 +355,22 @@ def test_shap_result_round_trip_and_global_importance():
     assert back.method == "exact" and back.n_coalitions == 4
     r = global_importance(res)
     assert r.order == [1, 0] and r.source == "shap"
+
+
+@pytest.mark.parametrize("n_coalitions", [30, 2 ** 5])
+def test_shap_payload_schema(n_coalitions):
+    predict = mlp_predict(5, seed=1)
+    X = np.random.default_rng(2).normal(size=(3, 5))
+    for res in (kernel_shap(predict, X, np.zeros(5), n_coalitions=n_coalitions, seed=3),
+                exact_shapley(predict, X, np.zeros(5))):
+        payload = json.loads(json.dumps(res.to_dict()))
+        assert sorted(payload) == ["base_value", "design_condition", "efficiency_residual",
+                                   "elapsed_ms", "global_importance", "method",
+                                   "n_coalitions", "n_samples", "phi"]
+        back = ShapResult.from_dict(payload)
+        assert back.design_condition == res.design_condition
+        assert back.efficiency_residual == res.efficiency_residual
+        assert back.to_dict() == res.to_dict()
 
 
 # --- rank correlation ----------------------------------------------------------

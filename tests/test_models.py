@@ -290,6 +290,21 @@ def test_scores_property_is_a_live_view():
                                scores_to_weights(model.params["scores"][0]), rtol=1e-15)
 
 
+@pytest.mark.parametrize("cfg", [c for c in CONFIGS if c.gated],
+                         ids=lambda c: f"{c.backbone}-i{c.gate_index}")
+@pytest.mark.parametrize("scale", [1.0, 40.0])
+def test_gate_weights_equal_the_graphs_softmax_node(cfg, scale):
+    # the ranking, the entropy penalty and the report read gate_weights; the
+    # forward pass reads the graph's softmax_rows node: one softmax serves both
+    model = build_model(replace(cfg, score_init="random-uniform"), seed=11)
+    model.params["scores"] *= scale
+    X, y = make_batch(np.random.default_rng(11), 3, cfg.d_in, binary=True)
+    loss, _, leaves, _ = model.loss_graph(X, y, "bce")
+    gate, = [node for node in ad.topo_order(loss)
+             if node.op == "softmax_rows" and node.parents[0] is leaves["scores"]]
+    np.testing.assert_array_equal(model.gate_weights(), gate.value[0])
+
+
 # --- config ------------------------------------------------------------------------
 
 
