@@ -80,6 +80,8 @@ def _one_indexed(order: list[int]) -> list[int]:
 
 
 def _sample_rows(n: int, samples: int, seed: int) -> np.ndarray:
+    if samples < 1:
+        raise ValueError(f"--samples must be at least 1, got {samples}")
     if samples > n:
         raise ValueError(f"asked to explain {samples} samples but the dataset has {n} rows")
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(_ROW_STREAM,)))
@@ -266,6 +268,8 @@ def cmd_compare(args) -> int:
 
 
 def cmd_stability(args) -> int:
+    if args.n_runs < 2:
+        raise ValueError(f"--n-runs must be at least 2 to compare rankings, got {args.n_runs}")
     ds = data.load_csv(args.data)
     run_seeds = [args.base_seed + r for r in range(args.n_runs)]
     background = mean_background(ds.X)

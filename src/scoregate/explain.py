@@ -74,6 +74,21 @@ def mean_background(X: np.ndarray) -> np.ndarray:
     return X.mean(axis=0)
 
 
+def _rows_to_explain(X) -> np.ndarray:
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    if X.shape[0] == 0:
+        raise ValueError("no rows to explain: X is empty")
+    return X
+
+
+def _gather_index(masks: np.ndarray) -> np.ndarray:
+    """Flat indices that build one row's coalition inputs by a plain copy:
+    ``np.concatenate([bg, x]).take(index)`` reads x where a mask is set and the
+    background elsewhere."""
+    d = masks.shape[1]
+    return masks * d + np.arange(d)
+
+
 def _coalition_masks(d: int) -> np.ndarray:
     """All 2^d membership masks; row index read as a bitmask, bit i = feature i."""
     return ((np.arange(2 ** d)[:, None] >> np.arange(d)) & 1).astype(bool)
@@ -88,7 +103,7 @@ def _shapley_order_weights(d: int) -> np.ndarray:
 def exact_shapley(predict_fn, X: np.ndarray, background: np.ndarray) -> ShapResult:
     """Exact Shapley values by full coalition enumeration (feasible for small d)."""
     t0 = time.perf_counter()
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    X = _rows_to_explain(X)
     n, d = X.shape
     if d > EXACT_MAX_FEATURES:
         raise ValueError(f"exact enumeration is capped at {EXACT_MAX_FEATURES} features, got {d}")
@@ -105,9 +120,10 @@ def exact_shapley(predict_fn, X: np.ndarray, background: np.ndarray) -> ShapResu
     absent = np.stack([np.flatnonzero(~masks[:, i]) for i in range(d)])
     present = absent + (1 << np.arange(d))[:, None]
     weight = w[sizes[absent]]
+    pick = _gather_index(masks)
     phi = np.zeros((n, d))
     for r in range(n):
-        Z = np.where(masks, X[r][None, :], bg[None, :])
+        Z = np.concatenate([bg, X[r]]).take(pick)
         vals = np.asarray(predict_fn(Z), dtype=np.float64).reshape(-1)
         phi[r] = np.sum(weight * (vals[present] - vals[absent]), axis=1)
     return ShapResult(phi=phi, base_value=base_value, method="exact", n_coalitions=2 ** d,
@@ -122,15 +138,19 @@ def shapley_kernel_weight(d: int, k: int) -> float:
 
 
 def _sample_masks(d: int, n_coalitions: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw coalition masks with size distributed as the Shapley kernel."""
+    """Draw coalition masks with size distributed as the Shapley kernel.
+
+    Each coalition's members are uniform given its size k: every row of
+    ``position`` is a random permutation, read as the place of each feature in
+    a random order, and the features placed before k are the members.
+    """
     sizes = np.arange(1, d)
     p = (d - 1) / (sizes * (d - sizes))
     p = p / p.sum()
-    masks = np.zeros((n_coalitions, d), dtype=bool)
     draws = rng.choice(sizes, size=n_coalitions, p=p)
-    for j, k in enumerate(draws):
-        masks[j, rng.choice(d, size=int(k), replace=False)] = True
-    return masks
+    position = np.tile(np.arange(d), (n_coalitions, 1))
+    rng.permuted(position, axis=1, out=position)
+    return position < draws[:, None]
 
 
 def _full_masks(d: int) -> tuple[np.ndarray, np.ndarray]:
@@ -156,7 +176,7 @@ def kernel_shap(predict_fn, X: np.ndarray, background: np.ndarray, n_coalitions:
     values.
     """
     t0 = time.perf_counter()
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    X = _rows_to_explain(X)
     n, d = X.shape
     bg = np.asarray(background, dtype=np.float64).reshape(-1)
     if bg.shape[0] != d:
@@ -194,9 +214,10 @@ def kernel_shap(predict_fn, X: np.ndarray, background: np.ndarray, n_coalitions:
     solve = (Vt.T / s) @ (U.T * sw)  # (d-1, m)
 
     delta = np.asarray(predict_fn(X), dtype=np.float64).reshape(-1) - base_value
+    pick = _gather_index(masks)
     phi = np.zeros((n, d))
     for r in range(n):
-        Z = np.where(masks, X[r][None, :], bg[None, :])
+        Z = np.concatenate([bg, X[r]]).take(pick)
         vals = np.asarray(predict_fn(Z), dtype=np.float64).reshape(-1)
         sol = solve @ (vals - base_value - z[:, -1] * delta[r])
         phi[r, :-1] = sol

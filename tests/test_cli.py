@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from scoregate import data
+from scoregate import cli, data
 from scoregate.cli import main
 from scoregate.models import Model
 from scoregate.scores import scores_to_weights
@@ -191,6 +191,15 @@ def test_shap_too_many_samples(workdir, tmp_path):
                  "--samples", "500", "--out", str(tmp_path / "s.json")]) == 1
 
 
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_shap_rejects_an_empty_explanation(samples, workdir, tmp_path, capsys):
+    out = tmp_path / "s.json"
+    assert main(["shap", "--model", str(workdir["model"]), "--data", str(workdir["csv"]),
+                 "--samples", samples, "--out", str(out)]) == 1
+    assert f"--samples must be at least 1, got {samples}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # --- compare / stability --------------------------------------------------------------
 
 
@@ -255,6 +264,17 @@ def test_stability_payload(workdir, tmp_path):
         float(np.mean(payload["scores_rank_variance"])))
     for order in payload["scores_orders"] + payload["shap_orders"]:
         assert sorted(order) == list(range(7))
+
+
+def test_stability_rejects_a_single_run_before_training(tmp_path, monkeypatch, capsys):
+    def no_training(*args, **kwargs):
+        raise AssertionError("train was called")
+
+    monkeypatch.setattr(cli, "train", no_training)
+    # the data path does not exist either: the run count is checked before loading
+    assert main(["stability", "--data", str(tmp_path / "missing.csv"), "--n-runs", "1",
+                 "--out", str(tmp_path / "stab.json")]) == 1
+    assert "--n-runs must be at least 2" in capsys.readouterr().err
 
 
 # --- plot / replay -----------------------------------------------------------------------

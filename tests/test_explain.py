@@ -157,6 +157,37 @@ def test_exact_shapley_input_validation():
     assert EXACT_MAX_FEATURES == 15
 
 
+def where_exact_reference(predict_fn, X, bg):
+    """Exact Shapley with each row's coalition inputs built by ``np.where``."""
+    n, d = X.shape
+    masks = explain._coalition_masks(d)
+    w = explain._shapley_order_weights(d)
+    absent = np.stack([np.flatnonzero(~masks[:, i]) for i in range(d)])
+    present = absent + (1 << np.arange(d))[:, None]
+    weight = w[masks.sum(axis=1)[absent]]
+    phi = np.zeros((n, d))
+    for r in range(n):
+        vals = predict_fn(np.where(masks, X[r], bg))
+        phi[r] = np.sum(weight * (vals[present] - vals[absent]), axis=1)
+    return phi
+
+
+@pytest.mark.parametrize("d", [2, 5, 9])
+def test_exact_shapley_gather_matches_where_bit_for_bit(d):
+    predict = mlp_predict(d, seed=d)
+    rng = np.random.default_rng(d)
+    X = rng.normal(size=(4, d))
+    bg = rng.normal(size=d)
+    np.testing.assert_array_equal(exact_shapley(predict, X, bg).phi,
+                                  where_exact_reference(predict, X, bg))
+
+
+@pytest.mark.parametrize("explainer", [exact_shapley, kernel_shap])
+def test_explainers_reject_an_empty_x(explainer):
+    with pytest.raises(ValueError, match="no rows to explain"):
+        explainer(mlp_predict(4, seed=0), np.ones((0, 4)), np.zeros(4))
+
+
 # --- kernel regression --------------------------------------------------------
 
 
@@ -222,6 +253,65 @@ def test_kernel_shap_budget_validation():
         kernel_shap(predict, np.ones((1, 6)), np.zeros(6), n_coalitions=7)
     with pytest.raises(ValueError, match="background"):
         kernel_shap(predict, np.ones((1, 6)), np.zeros(5))
+
+
+@pytest.mark.parametrize("n_coalitions", [40, 2 ** 6])
+def test_kernel_shap_coalition_inputs_equal_where(n_coalitions, monkeypatch):
+    # every coalition batch handed to the model is np.where(masks, x, bg), bit for bit
+    d = 6
+    predict = mlp_predict(d, seed=3)
+    rng = np.random.default_rng(1)
+    X = rng.normal(size=(3, d))
+    bg = rng.normal(size=d)
+    drawn, batches = [], []
+    sample = explain._sample_masks
+
+    def recorded_sample(*args):
+        drawn.append(sample(*args))
+        return drawn[-1]
+
+    def recorded_predict(Z):
+        batches.append(Z.copy())
+        return predict(Z)
+
+    monkeypatch.setattr(explain, "_sample_masks", recorded_sample)
+    kernel_shap(recorded_predict, X, bg, n_coalitions=n_coalitions, seed=4)
+    masks = drawn[0] if drawn else explain._full_masks(d)[0]
+    assert len(batches) == 2 + 3
+    for r, Z in enumerate(batches[2:]):
+        np.testing.assert_array_equal(Z, np.where(masks, X[r], bg))
+
+
+# --- coalition sampler --------------------------------------------------------
+
+
+@given(d=st.integers(2, 20), n=st.integers(1, 300), seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_sample_masks_shape_sizes_and_seed(d, n, seed):
+    masks = explain._sample_masks(d, n, np.random.default_rng(seed))
+    assert masks.dtype == bool and masks.shape == (n, d)
+    sizes = masks.sum(axis=1)
+    assert sizes.min() >= 1 and sizes.max() <= d - 1
+    np.testing.assert_array_equal(masks, explain._sample_masks(d, n, np.random.default_rng(seed)))
+
+
+def test_sample_masks_follow_the_shapley_kernel():
+    # 200k draws at d = 7: each size's frequency matches the kernel p(k), and
+    # within a size every feature is a member at rate k/d. Tolerance: five
+    # binomial standard errors of each rate.
+    d, n = 7, 200_000
+    masks = explain._sample_masks(d, n, np.random.default_rng(2024))
+    sizes = masks.sum(axis=1)
+    k = np.arange(1, d)
+    p = (d - 1) / (k * (d - k))
+    p /= p.sum()
+    freq = np.bincount(sizes, minlength=d)[1:] / n
+    assert np.all(np.abs(freq - p) <= 5 * np.sqrt(p * (1 - p) / n))
+    for size in k:
+        rows = masks[sizes == size]
+        rate = rows.mean(axis=0)
+        q = size / d
+        assert np.all(np.abs(rate - q) <= 5 * np.sqrt(q * (1 - q) / rows.shape[0])), size
 
 
 def lstsq_reference(predict_fn, X, bg, n_coalitions, seed):
