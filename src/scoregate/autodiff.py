@@ -15,10 +15,13 @@ products and logs that only such nodes would receive.
 The first ``recompute`` or ``backward`` of a root compiles its graph into a
 tape cached on the root: the non-leaf nodes in topological order for the
 forward pass, and, reversed, the nodes that depend on a trainable leaf for
-the backward pass. A node's ``parents`` never change after construction, so
-the tape stays valid for the life of the graph however its leaf values are
-edited or rebound. ``backward`` keeps each node's ``grad`` buffer and zeroes
-it in place on the next call; the arrays it returns are those buffers.
+the backward pass. The tape leaves out the root itself, so it holds no
+reference back to the node that holds it, and a dropped graph is freed by
+reference counting alone, without waiting for the cyclic collector. A node's
+``parents`` never change after construction, so the tape stays valid for the
+life of the graph however its leaf values are edited or rebound. ``backward``
+keeps each node's ``grad`` buffer and zeroes it in place on the next call;
+the arrays it returns are those buffers.
 
 Every forward op checks its output for NaN and Inf (``reshape`` only views a
 checked value). Checking only the loss would miss overflow: ``sigmoid(inf)``
@@ -254,9 +257,11 @@ def topo_order(root: Node) -> list[Node]:
 def _tape(root: Node) -> tuple[list[Node], list[Node], list[Node]]:
     """The graph under ``root`` compiled once and cached on it: the non-leaf
     nodes in topological order, the nodes that depend on a trainable leaf in
-    reverse order, and the trainable leaves in topological order."""
+    reverse order, and the trainable leaves in topological order. ``root`` is
+    in none of the lists (a cached reference to itself would make every graph
+    a reference cycle); the callers handle it directly."""
     if root.tape is None:
-        order = topo_order(root)
+        order = topo_order(root)[:-1]  # the root comes last
         live: set[Node] = set()
         for node in order:
             if node.op == "leaf" or any(p in live for p in node.parents):
@@ -269,8 +274,9 @@ def _tape(root: Node) -> tuple[list[Node], list[Node], list[Node]]:
 
 def recompute(root: Node) -> np.ndarray:
     """Re-run the forward pass from current leaf values; returns root value."""
-    for node in _tape(root)[0]:
-        node.value = _forward(node.op, [p.value for p in node.parents], node.aux)
+    for node in (*_tape(root)[0], root):
+        if node.parents:
+            node.value = _forward(node.op, [p.value for p in node.parents], node.aux)
     return root.value
 
 
@@ -348,8 +354,9 @@ def backward(loss: Node) -> dict[Node, np.ndarray]:
     if loss.value.shape != (1, 1):
         raise ValueError(f"backward requires a scalar (1x1) loss, got {loss.value.shape}")
     _, live, leaves = _tape(loss)
-    if not live:
+    if not live and loss.op != "leaf":  # the loss has no live parent and is no leaf
         return {}
+    live = (loss, *live)
     for node in live:
         g = node.grad
         if g is None or g.shape != node.value.shape:
@@ -360,7 +367,7 @@ def backward(loss: Node) -> dict[Node, np.ndarray]:
     for node in live:
         if node.parents:
             _accumulate(node)
-    return {n: n.grad for n in leaves}
+    return {n: n.grad for n in (loss, *leaves) if n.op == "leaf"}
 
 
 def grad_check(loss: Node, target_leaf: Node, eps: float = 1e-6) -> float:

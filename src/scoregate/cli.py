@@ -13,6 +13,7 @@ explicitly.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -79,11 +80,15 @@ def _one_indexed(order: list[int]) -> list[int]:
     return [i + 1 for i in order]
 
 
-def _sample_rows(n: int, samples: int, seed: int) -> np.ndarray:
+def _check_samples(n: int, samples: int) -> None:
     if samples < 1:
         raise ValueError(f"--samples must be at least 1, got {samples}")
     if samples > n:
         raise ValueError(f"asked to explain {samples} samples but the dataset has {n} rows")
+
+
+def _sample_rows(n: int, samples: int, seed: int) -> np.ndarray:
+    _check_samples(n, samples)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(_ROW_STREAM,)))
     return np.sort(rng.choice(n, size=samples, replace=False))
 
@@ -271,6 +276,7 @@ def cmd_stability(args) -> int:
     if args.n_runs < 2:
         raise ValueError(f"--n-runs must be at least 2 to compare rankings, got {args.n_runs}")
     ds = data.load_csv(args.data)
+    _check_samples(ds.n, args.samples)  # before the first run trains
     run_seeds = [args.base_seed + r for r in range(args.n_runs)]
     background = mean_background(ds.X)
 
@@ -436,8 +442,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: ``parse_args`` keeps no state
+    between calls, and building it costs more than most commands' work."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         for dest in ("seed", "base_seed"):
             if hasattr(args, dest):

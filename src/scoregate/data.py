@@ -225,39 +225,64 @@ def save_csv(ds: Dataset, path) -> None:
 def load_csv(path) -> Dataset:
     """Read a dataset written by ``save_csv`` (or any CSV with a trailing
     "y" target column). The task is classification iff all targets are 0/1;
-    ground-truth metadata is not recoverable from a CSV."""
+    ground-truth metadata is not recoverable from a CSV.
+
+    The header goes through ``csv``, the data rows through numpy's C reader.
+    A cell must be a finite number in a spelling ``float`` accepts, less
+    digit-group underscores and non-ASCII digits, which numpy's reader
+    rejects; a blank row, a ragged row or a bad cell is reported by its row
+    (the header is row 1) and column."""
     path = Path(path)
-    with path.open("r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file") from None
-        if len(header) < 2 or header[-1] != "y":
-            raise ValueError(f"{path}: expected a header ending with target column 'y'")
-        names = header[:-1]
-        rows = []
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise ValueError(f"{path}: row {line_no} has {len(row)} cells, expected {len(header)}")
-            parsed = []
-            for name, cell in zip(header, row):
-                try:
-                    value = float(cell)
-                except ValueError:
-                    value = math.nan
-                if not math.isfinite(value):  # float() accepts "nan" and "inf"
-                    raise ValueError(f"{path}: non-numeric or non-finite cell at row {line_no}, "
-                                     f"column {name}")
-                parsed.append(value)
-            rows.append(parsed)
-    if not rows:
+    with path.open("r", encoding="utf-8") as fh:  # universal newlines: rows end in "\n"
+        lines = list(fh)
+    reader = csv.reader(lines)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ValueError(f"{path}: empty file") from None
+    if len(header) < 2 or header[-1] != "y":
+        raise ValueError(f"{path}: expected a header ending with target column 'y'")
+    body = lines[reader.line_num:]
+    if not body:
         raise ValueError(f"{path}: no data rows")
-    data = np.asarray(rows)
+    data, reason = None, "a quoted cell holds a blank line"
+    if "\n" not in body:  # no blank row, which loadtxt would skip
+        try:
+            data = np.loadtxt(body, delimiter=",", comments=None, quotechar='"', ndmin=2,
+                              dtype=np.float64)
+        except ValueError as exc:
+            reason = str(exc)
+    if data is None or data.shape[1] != len(header) or not np.isfinite(data).all():
+        raise _first_bad_row(path, header, body) or ValueError(f"{path}: {reason}")
     X, y = data[:, :-1], data[:, -1]
     task = "classification" if np.all((y == 0.0) | (y == 1.0)) else "regression"
-    meta = tuple(FeatureMeta(n, None, False) for n in names)
+    meta = tuple(FeatureMeta(n, None, False) for n in header[:-1])
     return Dataset(X, y, meta, task)
+
+
+def _finite_cell(cell: str) -> bool:
+    """Whether numpy's reader takes ``cell`` to a finite float: it strips
+    whitespace and parses ASCII as ``float`` does, without underscores."""
+    cell = cell.strip()
+    if not cell.isascii() or "_" in cell:
+        return False
+    try:
+        return math.isfinite(float(cell))
+    except ValueError:
+        return False
+
+
+def _first_bad_row(path, header: list[str], body: list[str]) -> ValueError | None:
+    """The error naming the first data row in ``body``'s lines with the wrong
+    cell count, or its first cell that is not a finite number; None if none is."""
+    for line_no, row in enumerate(csv.reader(body), start=2):
+        if len(row) != len(header):
+            return ValueError(f"{path}: row {line_no} has {len(row)} cells, expected {len(header)}")
+        for name, cell in zip(header, row):
+            if not _finite_cell(cell):
+                return ValueError(f"{path}: non-numeric or non-finite cell at row {line_no}, "
+                                  f"column {name}")
+    return None
 
 
 def write_sidecar(path, generator: str, params: dict, seed: int, ds: Dataset) -> None:

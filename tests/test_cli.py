@@ -277,6 +277,22 @@ def test_stability_rejects_a_single_run_before_training(tmp_path, monkeypatch, c
     assert "--n-runs must be at least 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("samples, message", [
+    ("0", "--samples must be at least 1, got 0"),
+    ("61", "asked to explain 61 samples but the dataset has 60 rows"),
+])
+def test_stability_checks_samples_before_training(samples, message, workdir, tmp_path,
+                                                  monkeypatch, capsys):
+    def no_training(*args, **kwargs):
+        raise AssertionError("train was called")
+
+    monkeypatch.setattr(cli, "train", no_training)
+    assert main(["stability", "--data", str(workdir["csv"]), "--samples", samples,
+                 "--out", str(tmp_path / "stab.json")]) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "stab.json").exists()
+
+
 # --- plot / replay -----------------------------------------------------------------------
 
 
@@ -444,6 +460,23 @@ def test_usage_errors_exit_two(tmp_path):
     with pytest.raises(SystemExit) as info:
         main(["gen", "--dataset", "synth"])  # --out missing
     assert info.value.code == 2
+
+
+def test_main_calls_in_one_process_stay_independent(tmp_path, monkeypatch):
+    def gen_seed(name, *flags):
+        out = tmp_path / name
+        assert main(["gen", "--dataset", "synth", "--n", "10", "--noise", "0", *flags,
+                     "--out", str(out)]) == 0
+        return read_json(out.with_suffix(".sidecar.json"))["seed"]
+
+    monkeypatch.setenv("SCOREGATE_SEED", "7")
+    assert gen_seed("a.csv", "--seed", "3") == 3
+    assert gen_seed("b.csv") == 7  # the earlier call's --seed does not stick
+    with pytest.raises(SystemExit) as info:
+        main(["gen", "--dataset", "synth"])  # --out missing
+    assert info.value.code == 2
+    assert gen_seed("c.csv", "--seed", "4") == 4  # a usage error leaves the parser usable
+    assert gen_seed("d.csv") == 7
 
 
 def test_version_flag(capsys):

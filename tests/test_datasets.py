@@ -5,10 +5,14 @@ loops, and the per-column stream layout is pinned by checking that adding
 noise columns (or target noise) never changes the columns already drawn.
 """
 
+import csv
+import io
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scoregate.data import (
     SYNTH_COEFFS,
@@ -257,6 +261,68 @@ def test_load_csv_errors(tmp_path):
     p.write_text("a,y\n", encoding="utf-8")
     with pytest.raises(ValueError, match="no data rows"):
         load_csv(p)
+    p.write_text("a,y\n1,0\n\n2,1\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="row 3 has 0 cells, expected 2"):
+        load_csv(p)
+    p.write_text("a,y\r\n1,0\r\n2,1\r\n\r\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="row 4 has 0 cells, expected 2"):
+        load_csv(p)
+    p.write_text("a,y\n1,0,5\n2,1,6\n", encoding="utf-8")  # even, but one cell too many
+    with pytest.raises(ValueError, match="row 2 has 3 cells, expected 2"):
+        load_csv(p)
+    p.write_text("a,y\n1,0\n  \n", encoding="utf-8")
+    with pytest.raises(ValueError, match="row 3 has 1 cells, expected 2"):
+        load_csv(p)
+    # float() takes digit-group underscores and non-ASCII digits; the reader does not
+    for cell in ("1_000", "\u0661"):
+        assert math.isfinite(float(cell))
+        p.write_text(f"a,b,y\n1,2,0\n3,{cell},1\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="non-numeric or non-finite cell at row 3, column b"):
+            load_csv(p)
+    p.write_text("a,y\n1,1e999\n", encoding="utf-8")  # overflows to inf
+    with pytest.raises(ValueError, match="non-finite cell at row 2, column y"):
+        load_csv(p)
+
+
+# ±0, the smallest subnormal, the largest subnormal and ±max
+_EXTREMES = [0.0, -0.0, 5e-324, -5e-324, np.nextafter(2.2250738585072014e-308, 0.0),
+             1.7976931348623157e308, -1.7976931348623157e308]
+
+
+@given(st.integers(1, 4), st.integers(1, 6),
+       st.lists(st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(_EXTREMES),
+                min_size=30, max_size=30))
+@settings(max_examples=60, deadline=None)
+def test_csv_round_trip_is_bit_exact(tmp_path_factory, d, n, values):
+    cells = np.resize(np.array(values), n * (d + 1)).reshape(n, d + 1)
+    meta = tuple(FeatureMeta(f"f{j + 1}", None, False) for j in range(d))
+    ds = Dataset(cells[:, :d], cells[:, d], meta, "regression")
+    path = tmp_path_factory.mktemp("round_trip") / "ds.csv"
+    save_csv(ds, path)
+    back = load_csv(path)
+    assert back.X.tobytes() == ds.X.tobytes()  # ±0 and subnormals included
+    assert back.y.tobytes() == ds.y.tobytes()
+
+
+def _reference_rows(text: str) -> np.ndarray:
+    """Data rows parsed cell by cell with ``float``, as load_csv once did."""
+    rows = list(csv.reader(io.StringIO(text)))[1:]
+    return np.array([[float(cell) for cell in row] for row in rows])
+
+
+def test_load_csv_matches_a_per_cell_parser(tmp_path):
+    text = ('a,b,c,y\r\n'
+            '"1.5", 2 ,+1,0\r\n'
+            '.5,5.,1E3,1\r\n'
+            ' -0 ,"  -2.5e-3 ",1e-320,0\r\n'
+            '"+.25",  7\t,"9",1\r\n')
+    p = tmp_path / "spellings.csv"
+    p.write_bytes(text.encode("utf-8"))
+    ds = load_csv(p)
+    expected = _reference_rows(text)
+    assert ds.X.tobytes() == np.ascontiguousarray(expected[:, :-1]).tobytes()
+    assert ds.y.tobytes() == np.ascontiguousarray(expected[:, -1]).tobytes()
+    assert ds.task == "classification"
 
 
 def test_sidecar_round_trip(tmp_path):

@@ -8,6 +8,7 @@ loop using the same primitives, for both the full-batch and the
 shuffled-mini-batch protocols.
 """
 
+import gc
 import json
 import math
 from dataclasses import fields
@@ -347,6 +348,33 @@ def test_divergence_raises_training_error_with_epoch():
               TrainConfig(epochs=3, lr=1e200, batch_size=4))
     assert info.value.epoch in (0, 1)
     assert f"(epoch {info.value.epoch})" in str(info.value)
+
+
+def _live_nodes() -> int:
+    return sum(isinstance(o, ad.Node) for o in gc.get_objects())
+
+
+@pytest.mark.parametrize("backbone", ["mlp", "attention"])
+def test_dropped_graphs_need_no_cyclic_collector(backbone):
+    X, y = class_data(40, 3, seed=2)
+    model = build_model(ModelConfig(d_in=3, backbone=backbone, hidden=(4,), model_dim=4,
+                                    ffn_dim=4, gated=True), seed=0)
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        before = _live_nodes()
+        loss, pred, leaves, data_leaves = model.loss_graph(X[:8], y[:8], "bce")
+        ad.recompute(loss)
+        ad.backward(loss)
+        assert _live_nodes() > before
+        del loss, pred, leaves, data_leaves
+        assert _live_nodes() == before  # freed by reference counting alone
+        train(model, X, y, "classification", TrainConfig(epochs=2, batch_size=8))
+        assert _live_nodes() == before
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def test_config_and_task_validation():
