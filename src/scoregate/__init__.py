@@ -12,7 +12,6 @@ from .autodiff import (
 from .data import (
     Dataset,
     FeatureMeta,
-    augment_random_features,
     gen_classification,
     gen_friedman1,
     gen_friedman2,
@@ -31,7 +30,6 @@ from .explain import (
     rank_stability,
     spearman,
     spearman_rho,
-    stability,
 )
 from .models import Model, ModelConfig, build_model
 from .scores import (
@@ -49,11 +47,11 @@ __version__ = "0.1.0"
 __all__ = [
     "Dataset", "FeatureMeta", "Model", "ModelConfig", "NumericError", "Ranking",
     "ShapResult", "ShapeError", "TrainConfig", "TrainReport",
-    "TrainingError", "analytic_grads", "augment_random_features", "backward",
+    "TrainingError", "analytic_grads", "backward",
     "build_model", "exact_shapley", "extract_ranking", "gen_classification",
     "gen_friedman1", "gen_friedman2", "gen_synthetic", "global_importance",
     "grad_check", "init_scores", "kernel_shap", "leaf", "load_csv",
     "mean_background", "rank_match_table", "rank_stability", "ranking_from_values",
     "recompute", "save_csv", "scores_to_weights", "spearman", "spearman_rho",
-    "split", "stability", "train",
+    "split", "train",
 ]

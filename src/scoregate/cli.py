@@ -132,12 +132,9 @@ def _parse_hidden(text: str) -> tuple[int, ...]:
 
 
 def cmd_train(args) -> int:
+    if args.init_values and args.init != "gt":
+        raise ValueError(f"--init-values is read only with --init gt, not --init {args.init}")
     ds = data.load_csv(args.data)
-    loss_for_task = "bce" if ds.task == "classification" else "mse"
-    if args.loss != "auto" and args.loss != loss_for_task:
-        raise ValueError(f"--loss {args.loss} does not fit a {ds.task} dataset; "
-                         f"use --loss {loss_for_task} (or auto)")
-
     init_values = None
     if args.init == "gt":
         if not args.init_values:
@@ -150,15 +147,15 @@ def cmd_train(args) -> int:
     config = ModelConfig(
         d_in=ds.d, backbone=args.backbone, hidden=_parse_hidden(args.hidden),
         model_dim=args.model_dim, ffn_dim=args.ffn_dim,
-        gated=args.model == "scores", gate_index=args.gate_index,
-        score_init=init_map[args.init], score_init_values=init_values,
+        gated=args.model == "scores", score_init=init_map[args.init],
+        score_init_values=init_values,
     )
     model = build_model(config, args.seed)
     train_ds, test_ds = data.split(ds, 0.8, args.seed)
     batch_size = None if args.batch_size == 0 else args.batch_size
     tcfg = TrainConfig(epochs=args.epochs, lr=args.lr, batch_size=batch_size,
-                       shuffle_seed=args.seed, penalty=args.penalty,
-                       penalty_lam=args.lam, record_every=args.record_every)
+                       shuffle_seed=args.seed, penalty_lam=args.lam,
+                       record_every=args.record_every)
     report = train(model, train_ds.X, train_ds.y, ds.task, tcfg,
                    X_test=test_ds.X, y_test=test_ds.y)
 
@@ -283,8 +280,7 @@ def cmd_stability(args) -> int:
     score_rankings, shap_rankings = [], []
     for run_seed in run_seeds:
         config = ModelConfig(d_in=ds.d, backbone=args.backbone,
-                             hidden=_parse_hidden(args.hidden), gated=True,
-                             gate_index=args.gate_index, score_init="zero")
+                             hidden=_parse_hidden(args.hidden), gated=True, score_init="zero")
         model = build_model(config, run_seed)
         train_ds, _ = data.split(ds, 0.8, run_seed)
         batch_size = None if args.batch_size == 0 else args.batch_size
@@ -379,17 +375,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", choices=["vanilla", "scores"], default="scores")
     p.add_argument("--backbone", choices=["mlp", "attention"], default="mlp")
     p.add_argument("--hidden", default="32,16", help="comma-separated MLP widths")
-    p.add_argument("--gate-index", type=int, default=0, help="layer whose input is gated")
     p.add_argument("--model-dim", type=int, default=16, help="attention: token width")
     p.add_argument("--ffn-dim", type=int, default=32, help="attention: feed-forward width")
     p.add_argument("--epochs", type=int, default=1000)
     p.add_argument("--lr", type=float, default=0.001)
     p.add_argument("--batch-size", type=int, default=32, help="0 trains full-batch")
-    p.add_argument("--loss", choices=["auto", "bce", "mse"], default="auto")
     p.add_argument("--init", choices=["zero", "random", "gt"], default="zero")
     p.add_argument("--init-values", default=None, help="sidecar JSON for --init gt")
-    p.add_argument("--penalty", choices=["none", "entropy"], default="none")
-    p.add_argument("--lam", type=float, default=0.0)
+    p.add_argument("--lam", type=float, default=0.0, help="gate-entropy penalty weight")
     p.add_argument("--record-every", type=int, default=100)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out-model", required=True)
@@ -420,7 +413,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--backbone", choices=["mlp", "attention"], default="mlp")
     p.add_argument("--hidden", default="32,16")
-    p.add_argument("--gate-index", type=int, default=0)
     p.add_argument("--epochs", type=int, default=1000)
     p.add_argument("--lr", type=float, default=0.001)
     p.add_argument("--batch-size", type=int, default=32, help="0 trains full-batch")

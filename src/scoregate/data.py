@@ -198,20 +198,6 @@ def gen_classification(n: int, d: int, n_informative: int, n_redundant: int,
     return Dataset(X, y, _meta(names, importances, relevant), "classification")
 
 
-def augment_random_features(ds: Dataset, k: int, low: float, high: float,
-                            seed: int) -> Dataset:
-    """Append ``k`` irrelevant U[low, high] columns; original data untouched."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if not low < high:
-        raise ValueError("need low < high")
-    extra = np.column_stack([_rng(seed, _COL, j).uniform(low, high, size=ds.n)
-                             for j in range(k)])
-    X = np.hstack([ds.X, extra])
-    meta = list(ds.feature_meta) + [FeatureMeta(f"rand{j + 1}", 0.0, False) for j in range(k)]
-    return Dataset(X, ds.y.copy(), tuple(meta), ds.task)
-
-
 def save_csv(ds: Dataset, path) -> None:
     """Write the dataset as UTF-8 CSV: feature columns then a final "y"."""
     path = Path(path)

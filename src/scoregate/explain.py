@@ -325,8 +325,3 @@ def rank_stability(rankings: list[Ranking]) -> np.ndarray:
         raise ValueError("rankings cover different feature counts")
     ranks = np.array([[r.rank_of(i) for i in range(d)] for r in rankings], dtype=np.float64)
     return ranks.var(axis=0)
-
-
-def stability(rankings: list[Ranking]) -> float:
-    """Mean per-feature rank variance; 0 means perfectly stable rankings."""
-    return float(rank_stability(rankings).mean())

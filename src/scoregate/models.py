@@ -1,5 +1,5 @@
 """Model architectures: an MLP or a single-head attention backbone ending in
-one sigmoid unit, with an optional score gate in front of a chosen layer.
+one sigmoid unit, with an optional score gate on the input features.
 
 Each backbone's forward pass is written once, in ``Model._forward``, against
 an op namespace: ``loss_graph`` runs it with ``autodiff`` on graph leaves to
@@ -65,7 +65,6 @@ class ModelConfig:
     model_dim: int = 16
     ffn_dim: int = 32
     gated: bool = False
-    gate_index: int = 0
     score_init: str = "zero"
     score_init_values: list[float] | None = None
 
@@ -80,17 +79,26 @@ class ModelConfig:
         for name in ("model_dim", "ffn_dim"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+
+    def param_specs(self) -> dict[str, tuple[tuple[int, int], int]]:
+        """Each parameter's (rows, cols) shape and the fan-in that scales its
+        uniform init (0: it starts at zero), in the order ``build_model``
+        draws them; a gated model's ``scores`` row comes last."""
+        if self.backbone == "mlp":
+            dims = [self.d_in, *self.hidden, 1]
+            specs = {}
+            for i in range(len(dims) - 1):
+                specs[f"W{i}"] = ((dims[i], dims[i + 1]), dims[i])
+                specs[f"b{i}"] = ((1, dims[i + 1]), 0)
+        else:
+            d, m, f = self.d_in, self.model_dim, self.ffn_dim
+            specs = {"emb": ((d, m), m), "pos": ((d, m), m), "wq": ((m, m), m),
+                     "wk": ((m, m), m), "wv": ((m, m), m), "fw1": ((m, f), m),
+                     "fb1": ((1, f), 0), "fw2": ((f, m), f), "fb2": ((1, m), 0),
+                     "head_w": ((m, 1), m), "head_b": ((1, 1), 0)}
         if self.gated:
-            if self.backbone == "mlp" and not 0 <= self.gate_index < len(self.hidden) + 1:
-                raise ValueError("gate_index must address one of the model's layers")
-            if self.backbone == "attention" and self.gate_index != 0:
-                raise ValueError("the attention backbone only supports gating the input layer")
-
-    def layer_dims(self) -> list[int]:
-        return [self.d_in, *self.hidden, 1]
-
-    def gate_width(self) -> int:
-        return self.layer_dims()[self.gate_index]
+            specs["scores"] = ((1, self.d_in), 0)
+        return specs
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
@@ -105,7 +113,7 @@ class ModelConfig:
 class Model:
     """A backbone described by ``config`` with parameters held as named
     float64 matrices; the score vector, when gated, lives in
-    ``params["scores"]`` as a 1 x gate_width row."""
+    ``params["scores"]`` as a 1 x d_in row."""
 
     def __init__(self, config: ModelConfig, params: dict[str, np.ndarray]):
         self.config = config
@@ -127,11 +135,11 @@ class Model:
         sigmoid output; ``ops`` is ``autodiff`` on graph nodes or ``NUMPY_OPS``
         on arrays."""
         cfg = self.config
+        if cfg.gated:
+            x = ops.hadamard(x, ops.softmax_rows(params["scores"]))
         if cfg.backbone == "mlp":
             n_layers = len(cfg.hidden) + 1
             for i in range(n_layers):
-                if cfg.gated and cfg.gate_index == i:
-                    x = ops.hadamard(x, ops.softmax_rows(params["scores"]))
                 z = ops.add(ops.matmul(x, params[f"W{i}"]), params[f"b{i}"])
                 x = ops.relu(z) if i < n_layers - 1 else ops.sigmoid(z)
             return x
@@ -140,8 +148,6 @@ class Model:
         # feature. The calls are nested so that each (n, d, .) intermediate is
         # freed once used: numpy reuses no temporary across function calls.
         d, m, p = cfg.d_in, cfg.model_dim, params
-        if cfg.gated:
-            x = ops.hadamard(x, ops.softmax_rows(p["scores"]))
         tokens = ops.add(ops.hadamard(ops.reshape(x, (-1, d, 1)), p["emb"]), p["pos"])
         tokens = ops.add(tokens, ops.matmul(  # softmax(q k^T / sqrt(m)) v
             ops.softmax_rows(ops.scale(ops.matmul(ops.matmul(tokens, p["wq"]),
@@ -194,12 +200,19 @@ class Model:
     @classmethod
     def from_dict(cls, d: dict) -> "Model":
         config = ModelConfig.from_dict(d["config"])
-        params = {
-            name: np.asarray(entry["data"], dtype=np.float64).reshape(entry["rows"], entry["cols"])
-            for name, entry in d["parameters"].items()
-        }
+        shapes = {name: (entry["rows"], entry["cols"]) for name, entry in d["parameters"].items()}
         if d["scores"] is not None:
-            params["scores"] = np.asarray(d["scores"], dtype=np.float64).reshape(1, -1)
+            shapes["scores"] = (1, len(d["scores"]))
+        expected = {name: shape for name, (shape, _) in config.param_specs().items()}
+        wrong = sorted(f"{name} {shapes.get(name)} != {expected.get(name)}"
+                       for name in shapes.keys() | expected
+                       if shapes.get(name) != expected.get(name))
+        if wrong:  # None: the file or the config has no such parameter
+            raise ValueError(f"model parameter shapes differ from the config's "
+                             f"(file != config): {', '.join(wrong)}")
+        entries = {**d["parameters"], "scores": {"data": d["scores"]}}
+        params = {name: np.asarray(entries[name]["data"], dtype=np.float64).reshape(shape)
+                  for name, shape in expected.items()}
         bad = sorted(name for name, arr in params.items() if not np.isfinite(arr).all())
         if bad:  # predict would return NaN for them without an error
             raise ad.NumericError(f"model parameters must be finite: {', '.join(bad)}")
@@ -222,25 +235,9 @@ def build_model(config: ModelConfig, seed: int) -> Model:
     """Instantiate a model with fan-in-scaled uniform weights, zero biases,
     and scores initialized per ``config.score_init``."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    params: dict[str, np.ndarray] = {}
-    if config.backbone == "mlp":
-        dims = config.layer_dims()
-        for i in range(len(dims) - 1):
-            params[f"W{i}"] = _uniform_fan_in(rng, dims[i], (dims[i], dims[i + 1]))
-            params[f"b{i}"] = np.zeros((1, dims[i + 1]))
-    else:
-        d, m, f = config.d_in, config.model_dim, config.ffn_dim
-        params["emb"] = _uniform_fan_in(rng, m, (d, m))
-        params["pos"] = _uniform_fan_in(rng, m, (d, m))
-        for name in ("wq", "wk", "wv"):
-            params[name] = _uniform_fan_in(rng, m, (m, m))
-        params["fw1"] = _uniform_fan_in(rng, m, (m, f))
-        params["fb1"] = np.zeros((1, f))
-        params["fw2"] = _uniform_fan_in(rng, f, (f, m))
-        params["fb2"] = np.zeros((1, m))
-        params["head_w"] = _uniform_fan_in(rng, m, (m, 1))
-        params["head_b"] = np.zeros((1, 1))
+    params = {name: _uniform_fan_in(rng, fan_in, shape) if fan_in else np.zeros(shape)
+              for name, (shape, fan_in) in config.param_specs().items()}
     if config.gated:
-        params["scores"] = init_scores(config.gate_width(), config.score_init, seed=seed,
+        params["scores"] = init_scores(config.d_in, config.score_init, seed=seed,
                                        values=config.score_init_values).reshape(1, -1)
     return Model(config, params)

@@ -9,7 +9,7 @@ as they stand *before* that epoch's updates.
 from __future__ import annotations
 
 import time
-from dataclasses import astuple, dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,8 +37,7 @@ class TrainConfig:
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
-    penalty: str = "none"
-    penalty_lam: float = 0.0
+    penalty_lam: float = 0.0  # the gate-entropy penalty's weight; 0 turns it off
     record_every: int = 100
 
     def __post_init__(self):
@@ -46,8 +45,6 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         if self.batch_size is not None and self.batch_size < 1:
             raise ValueError("batch_size must be >= 1 (or None for full batch)")
-        if self.penalty not in ("none", "entropy"):
-            raise ValueError(f"unknown penalty {self.penalty!r}")
         if not self.penalty_lam >= 0:  # rejects NaN too
             raise ValueError("penalty_lam must be >= 0")
         if self.record_every < 1:
@@ -83,13 +80,6 @@ class TrainReport:
              "curve": [{**vars(r)} for r in self.curve]}
         del d["wall_time_ms"]
         return d
-
-    def save_curve_csv(self, path) -> None:
-        lines = [",".join(f.name for f in fields(EpochRecord))]
-        for r in self.curve:
-            lines.append(",".join("" if v is None else repr(v) for v in astuple(r)))
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
 
 
 # -- reference metric functions (numpy, no graph) ---------------------------
@@ -173,6 +163,9 @@ def train(model: Model, X: np.ndarray, y: np.ndarray, task: str, config: TrainCo
         raise ValueError(f"unknown task {task!r}")
     if (X_test is None) != (y_test is None):
         raise ValueError("X_test and y_test must be given together")
+    gated = model.config.gated
+    if config.penalty_lam > 0 and not gated:
+        raise ValueError("penalty_lam penalizes the gate's entropy; an ungated model has no gate")
     t0 = time.perf_counter()
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64).reshape(-1)
@@ -199,10 +192,10 @@ def train(model: Model, X: np.ndarray, y: np.ndarray, task: str, config: TrainCo
     loss_node, _, leaves, data_leaves = model.loss_graph(X[:batch], y_fit[:batch], loss_kind)
     param_values = {name: leaves[name].value for name in leaves}
     adam = adam_init(param_values)
-    gated = model.config.gated and "scores" in leaves
+    entropy_penalty = config.penalty_lam > 0
 
     def penalty_value() -> float:
-        if not gated or config.penalty == "none":
+        if not entropy_penalty:
             return 0.0
         return sparsity_penalty(scores_to_weights(leaves["scores"].value[0]),
                                 config.penalty_lam)
@@ -234,7 +227,7 @@ def train(model: Model, X: np.ndarray, y: np.ndarray, task: str, config: TrainCo
                 ad.recompute(loss_node)
                 grads = ad.backward(loss_node)
                 named_grads = {name: grads[node] for name, node in leaves.items() if node in grads}
-                if gated and config.penalty == "entropy" and config.penalty_lam != 0.0:
+                if entropy_penalty:
                     w = scores_to_weights(leaves["scores"].value[0])
                     named_grads["scores"] = named_grads["scores"] + \
                         entropy_penalty_score_grad(w, config.penalty_lam).reshape(1, -1)

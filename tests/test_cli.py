@@ -3,6 +3,7 @@ directory through ``main(argv)``, artifacts are re-read and cross-checked
 against the library, and replay must reproduce outputs byte-for-byte.
 """
 
+import argparse
 import json
 import shutil
 import subprocess
@@ -136,11 +137,89 @@ def test_train_usage_failures(workdir, tmp_path):
     out_m, out_r = str(tmp_path / "m.json"), str(tmp_path / "r.json")
     base = ["train", "--data", str(workdir["csv"]), "--epochs", "1",
             "--out-model", out_m, "--out-report", out_r]
-    assert main(base + ["--loss", "mse"]) == 1  # classification CSV wants bce
     assert main(base + ["--init", "gt"]) == 1  # no --init-values
     assert main(base + ["--hidden", "4,oops"]) == 1
     assert main(["train", "--data", str(tmp_path / "missing.csv"), "--epochs", "1",
                  "--out-model", out_m, "--out-report", out_r]) == 1
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--model", "vanilla", "--lam", "5"], "an ungated model has no gate"),
+    (["--init-values", "{sidecar}"], "--init-values is read only with --init gt, not --init zero"),
+    (["--init", "random", "--init-values", "{sidecar}"], "not --init random"),
+], ids=["lam-on-vanilla", "init-values-alone", "init-values-with-random"])
+def test_train_rejects_an_option_it_would_ignore(flags, message, workdir, tmp_path,
+                                                 monkeypatch, capsys):
+    def no_graph(*args, **kwargs):
+        raise AssertionError("loss_graph was called")
+
+    monkeypatch.setattr(Model, "loss_graph", no_graph)
+    out_m = tmp_path / "m.json"
+    assert main(["train", "--data", str(workdir["csv"]), "--epochs", "1",
+                 *[f.format(sidecar=workdir["sidecar"]) for f in flags],
+                 "--out-model", str(out_m), "--out-report", str(tmp_path / "r.json")]) == 1
+    assert message in capsys.readouterr().err
+    assert not out_m.exists()
+
+
+def _train_options() -> list[str]:
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return [a.option_strings[-1] for a in sub.choices["train"]._actions if a.dest != "help"]
+
+
+# For every train option: the options it needs to take effect, then a value
+# that differs from the one the default run (or that context) gives it. The
+# last occurrence of an option wins, so a context may set the option itself.
+TRAIN_OPTION_CHANGES = {
+    "--data": ([], "{other_csv}"),
+    "--model": ([], "vanilla"),
+    "--backbone": ([], "attention"),
+    "--hidden": ([], "5"),
+    "--model-dim": (["--backbone", "attention"], "5"),
+    "--ffn-dim": (["--backbone", "attention"], "5"),
+    "--epochs": ([], "3"),
+    "--lr": ([], "0.01"),
+    "--batch-size": ([], "0"),
+    "--init": ([], "random"),
+    "--init-values": (["--init", "gt", "--init-values", "{sidecar}"], "{other_sidecar}"),
+    "--lam": ([], "0.5"),
+    "--record-every": ([], "1"),
+    "--seed": ([], "3"),
+    "--out-model": ([], "moved.json"),
+    "--out-report": ([], "moved.report.json"),
+}
+
+
+@pytest.mark.parametrize("option", _train_options())
+def test_every_train_option_changes_the_result(option, workdir, tmp_path, monkeypatch):
+    assert option in TRAIN_OPTION_CHANGES, \
+        f"give {option} a value that changes what train writes, or delete the option"
+    other_csv = tmp_path / "other.csv"
+    assert main(["gen", "--dataset", "synth", "--n", "60", "--noise", "2", "--seed", "2",
+                 "--out", str(other_csv)]) == 0
+    other_sidecar = tmp_path / "other.sidecar.json"
+    sidecar = read_json(workdir["sidecar"])
+    sidecar["ground_truth_importance"].reverse()
+    other_sidecar.write_text(json.dumps(sidecar), encoding="utf-8")
+    paths = {"sidecar": workdir["sidecar"], "other_csv": other_csv,
+             "other_sidecar": other_sidecar}
+    monkeypatch.delenv("SCOREGATE_SEED", raising=False)
+
+    def written(name, argv):
+        """The model and report files one run writes, by name."""
+        run_dir = tmp_path / name
+        run_dir.mkdir()
+        monkeypatch.chdir(run_dir)
+        assert main(["train", "--data", str(workdir["csv"]), "--hidden", "4", "--epochs", "2",
+                     "--batch-size", "8", "--out-model", "model.json",
+                     "--out-report", "report.json",
+                     *[a.format(**paths) for a in argv]]) == 0
+        return {p.name: p.read_bytes() for p in run_dir.iterdir()
+                if not p.name.endswith(".manifest.json")}
+
+    context, value = TRAIN_OPTION_CHANGES[option]
+    assert written("changed", context + [option, value]) != written("default", context)
 
 
 # --- rank / shap -------------------------------------------------------------------

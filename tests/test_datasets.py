@@ -18,7 +18,6 @@ from scoregate.data import (
     SYNTH_COEFFS,
     Dataset,
     FeatureMeta,
-    augment_random_features,
     friedman1_targets,
     friedman2_targets,
     gen_classification,
@@ -198,24 +197,6 @@ def test_gen_classification_rejects_bad_args():
         gen_classification(10, 4, 0, 0, 0, seed=0)
     with pytest.raises(ValueError):
         gen_classification(10, 4, 3, 1, 1, seed=0)  # 5 structured cols > d
-
-
-# --- augmentation ----------------------------------------------------------------
-
-
-def test_augment_keeps_originals_bit_identical():
-    ds = gen_synthetic(50, 2, seed=1)
-    aug = augment_random_features(ds, k=3, low=-2.0, high=2.0, seed=8)
-    assert aug.X.shape == (50, 10)
-    np.testing.assert_array_equal(aug.X[:, :7], ds.X)
-    np.testing.assert_array_equal(aug.y, ds.y)
-    assert np.all(aug.X[:, 7:] >= -2.0) and np.all(aug.X[:, 7:] <= 2.0)
-    assert [m.name for m in aug.feature_meta[7:]] == ["rand1", "rand2", "rand3"]
-    assert aug.ground_truth_importances()[7:] == [0.0, 0.0, 0.0]
-    with pytest.raises(ValueError):
-        augment_random_features(ds, k=0, low=0.0, high=1.0, seed=8)
-    with pytest.raises(ValueError):
-        augment_random_features(ds, k=1, low=1.0, high=1.0, seed=8)
 
 
 # --- csv and sidecar ---------------------------------------------------------------

@@ -37,15 +37,20 @@ def make_batch(rng, n, d, binary=False):
 CONFIGS = [
     ModelConfig(d_in=4, backbone="mlp", hidden=(5, 3), gated=False),
     ModelConfig(d_in=4, backbone="mlp", hidden=(5, 3), gated=True),
-    ModelConfig(d_in=4, backbone="mlp", hidden=(5, 3), gated=True, gate_index=1),
-    ModelConfig(d_in=4, backbone="mlp", hidden=(5, 3), gated=True, gate_index=2,
-                score_init="random-uniform"),
+    ModelConfig(d_in=4, backbone="mlp", hidden=(5, 3), gated=True, score_init="random-uniform"),
     ModelConfig(d_in=3, backbone="attention", model_dim=4, ffn_dim=6, gated=False),
     ModelConfig(d_in=3, backbone="attention", model_dim=4, ffn_dim=6, gated=True),
 ]
 
 
-@pytest.mark.parametrize("cfg", CONFIGS, ids=lambda c: f"{c.backbone}-g{int(c.gated)}i{c.gate_index}")
+def config_id(cfg):
+    """``g1``: gated; ``i0``: the gate multiplies the input, the only place it
+    sits; ``-random``: the scores start random rather than at zero."""
+    init = "" if cfg.score_init == "zero" else "-random"
+    return f"{cfg.backbone}-g{int(cfg.gated)}i0{init}"
+
+
+@pytest.mark.parametrize("cfg", CONFIGS, ids=config_id)
 def test_graph_forward_matches_numpy_predict(cfg):
     rng = np.random.default_rng(1)
     model = build_model(cfg, seed=2)
@@ -56,15 +61,12 @@ def test_graph_forward_matches_numpy_predict(cfg):
 
 
 @given(st.sampled_from(BACKBONES), st.integers(1, 5), st.lists(st.integers(1, 6), min_size=1,
-       max_size=3), st.integers(0, 3), st.integers(1, 6), st.integers(1, 70),
+       max_size=3), st.booleans(), st.integers(1, 6), st.integers(1, 70),
        st.integers(0, 2 ** 16))
 @settings(max_examples=40, deadline=None)
-def test_graph_and_predict_are_bit_identical(backbone, d_in, hidden, gate_index, width, n,
-                                             seed):
-    attention = backbone == "attention"
+def test_graph_and_predict_are_bit_identical(backbone, d_in, hidden, gated, width, n, seed):
     cfg = ModelConfig(d_in=d_in, backbone=backbone, hidden=tuple(hidden), model_dim=width,
-                      ffn_dim=width + 1, gated=gate_index <= (0 if attention else len(hidden)),
-                      gate_index=0 if attention else gate_index, score_init="random-uniform")
+                      ffn_dim=width + 1, gated=gated, score_init="random-uniform")
     model = build_model(cfg, seed=seed)
     X, y = make_batch(np.random.default_rng(seed), n, d_in, binary=True)
     _, pred, _, _ = model.loss_graph(X, y, "bce")
@@ -93,19 +95,6 @@ def test_tiny_gated_mlp_against_loop_forward():
         z = sum(h[k] * W1[k, 0] for k in range(2)) + b1[0, 0]
         p = 1.0 / (1.0 + math.exp(-z))
         assert abs(got[i] - p) < 1e-12
-
-
-def test_hidden_gate_multiplies_the_right_layer():
-    cfg = ModelConfig(d_in=3, hidden=(4,), gated=True, gate_index=1,
-                      score_init="from-values", score_init_values=[2.0, 0.0, -1.0, 0.5])
-    model = build_model(cfg, seed=0)
-    rng = np.random.default_rng(3)
-    X, _ = make_batch(rng, 5, 3)
-    w = scores_to_weights([2.0, 0.0, -1.0, 0.5])
-    h = np.maximum(X @ model.params["W0"] + model.params["b0"], 0.0)
-    z = (h * w) @ model.params["W1"] + model.params["b1"]
-    expect = 1.0 / (1.0 + np.exp(-z[:, 0]))
-    np.testing.assert_allclose(model.predict(X), expect, rtol=1e-12)
 
 
 @pytest.mark.parametrize("backbone", ["mlp", "attention"])
@@ -187,7 +176,7 @@ def test_attention_graph_gradients_pass_grad_check():
 
 
 def test_mlp_graph_gradients_pass_grad_check():
-    cfg = ModelConfig(d_in=4, hidden=(3,), gated=True, gate_index=1)
+    cfg = ModelConfig(d_in=4, hidden=(3,), gated=True)
     model = build_model(cfg, seed=9)
     rng = np.random.default_rng(9)
     X, y = make_batch(rng, 5, 4, binary=True)
@@ -199,7 +188,7 @@ def test_mlp_graph_gradients_pass_grad_check():
 # --- serialization ---------------------------------------------------------------
 
 
-@pytest.mark.parametrize("cfg", CONFIGS[1::2], ids=lambda c: c.backbone)
+@pytest.mark.parametrize("cfg", [c for c in CONFIGS if c.gated], ids=lambda c: c.backbone)
 def test_save_load_round_trip(cfg, tmp_path):
     model = build_model(cfg, seed=3)
     path = tmp_path / "model.json"
@@ -282,6 +271,34 @@ def test_load_rejects_non_finite_parameters(name, tmp_path):
         Model.load(path)
 
 
+def _tampered_model_file(tmp_path, gated, tamper):
+    path = tmp_path / "model.json"
+    build_model(ModelConfig(d_in=10, hidden=(4, 3), gated=gated), seed=0).save(path)
+    raw = json.loads(path.read_text(encoding="utf-8"))
+    tamper(raw)
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("gated, tamper, message", [
+    (True, lambda raw: raw["scores"].pop(), r"\): scores \(1, 9\) != \(1, 10\)$"),
+    (False, lambda raw: raw.update(scores=[0.0] * 10), r"\): scores \(1, 10\) != None$"),
+    (True, lambda raw: raw["parameters"].pop("b1"), r"\): b1 None != \(1, 3\)$"),
+    (False, lambda raw: raw["parameters"]["W1"].update(rows=3, data=[0.5] * 9),
+     r"\): W1 \(3, 3\) != \(4, 3\)$"),
+], ids=["nine-scores", "scores-on-vanilla", "missing-b1", "short-W1"])
+def test_load_checks_parameters_against_the_config(gated, tamper, message, tmp_path):
+    with pytest.raises(ValueError, match=message):
+        Model.load(_tampered_model_file(tmp_path, gated, tamper))
+
+
+@pytest.mark.parametrize("cfg", CONFIGS, ids=config_id)
+def test_build_model_follows_param_specs(cfg):
+    model = build_model(cfg, seed=0)
+    assert [(name, arr.shape) for name, arr in model.params.items()] == \
+        [(name, shape) for name, (shape, _) in cfg.param_specs().items()]
+
+
 def test_scores_property_is_a_live_view():
     model = build_model(ModelConfig(d_in=3, hidden=(2,), gated=True), seed=0)
     model.params["scores"][0, 0] = 5.0
@@ -290,8 +307,8 @@ def test_scores_property_is_a_live_view():
                                scores_to_weights(model.params["scores"][0]), rtol=1e-15)
 
 
-@pytest.mark.parametrize("cfg", [c for c in CONFIGS if c.gated],
-                         ids=lambda c: f"{c.backbone}-i{c.gate_index}")
+@pytest.mark.parametrize("cfg", [c for c in CONFIGS if c.gated and c.score_init == "zero"],
+                         ids=lambda c: f"{c.backbone}-i0")  # i0: as in config_id
 @pytest.mark.parametrize("scale", [1.0, 40.0])
 def test_gate_weights_equal_the_graphs_softmax_node(cfg, scale):
     # the ranking, the entropy penalty and the report read gate_weights; the
@@ -315,21 +332,10 @@ def test_config_validation():
         ModelConfig(d_in=3, backbone="cnn")
     with pytest.raises(ValueError):
         ModelConfig(d_in=3, hidden=(4, 0))
-    with pytest.raises(ValueError):
-        ModelConfig(d_in=3, hidden=(4,), gated=True, gate_index=2)
-    with pytest.raises(ValueError):
-        ModelConfig(d_in=3, backbone="attention", gated=True, gate_index=1)
     with pytest.raises(ValueError, match="model_dim must be >= 1"):
         ModelConfig(d_in=3, backbone="attention", model_dim=0)
     with pytest.raises(ValueError, match="ffn_dim must be >= 1"):
         ModelConfig(d_in=3, backbone="attention", ffn_dim=0)
-
-
-def test_gate_width_follows_gate_index():
-    cfg = ModelConfig(d_in=7, hidden=(5, 3), gated=True, gate_index=1)
-    assert cfg.layer_dims() == [7, 5, 3, 1]
-    assert cfg.gate_width() == 5
-    assert ModelConfig(d_in=7, hidden=(5, 3), gated=True).gate_width() == 7
 
 
 def test_parameter_count():

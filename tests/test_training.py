@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import scoregate.autodiff as ad
-from scoregate.models import ModelConfig, build_model
+from scoregate.models import Model, ModelConfig, build_model
 from scoregate.scores import scores_to_weights
 from scoregate.training import (
     TrainConfig,
@@ -251,7 +251,7 @@ def test_wall_time_not_serialized():
 def test_report_carries_every_train_config_field():
     X, y = class_data(12, 3, seed=2)
     cfg = TrainConfig(epochs=2, lr=0.01, batch_size=4, shuffle_seed=3, beta1=0.8,
-                      beta2=0.99, eps=1e-7, penalty="entropy", penalty_lam=0.1,
+                      beta2=0.99, eps=1e-7, penalty_lam=0.1,
                       record_every=1)
     model = build_model(ModelConfig(d_in=3, hidden=(2,), gated=True), seed=0)
     payload = train(model, X, y, "classification", cfg).to_dict()
@@ -267,21 +267,6 @@ def test_classification_rejects_a_soft_target_in_any_batch(row):
     model = build_model(ModelConfig(d_in=3, hidden=(2,)), seed=0)
     with pytest.raises(ValueError, match="classification targets must be 0 or 1"):
         train(model, X, y, "classification", TrainConfig(epochs=2, batch_size=4))
-
-
-def test_save_curve_csv_round_trips(tmp_path):
-    X, y = class_data(12, 3, seed=4)
-    model = build_model(ModelConfig(d_in=3, hidden=(2,)), seed=1)
-    report = train(model, X, y, "classification", TrainConfig(epochs=3, batch_size=None))
-    path = tmp_path / "curve.csv"
-    report.save_curve_csv(path)
-    lines = path.read_text(encoding="utf-8").strip().split("\n")
-    assert lines[0] == "epoch,loss,accuracy,penalty,test_accuracy"
-    assert len(lines) == 4
-    cells = lines[1].split(",")
-    assert int(cells[0]) == 0
-    assert float(cells[1]) == report.curve[0].loss  # repr round-trips exactly
-    assert cells[4] == ""  # no test set
 
 
 # --- regression path -----------------------------------------------------------------
@@ -327,13 +312,24 @@ def test_entropy_penalty_sharpens_weights():
     def final_entropy(lam):
         model = build_model(mcfg, seed=1)
         report = train(model, X, y, "classification",
-                       TrainConfig(epochs=60, batch_size=None, penalty="entropy",
-                                   penalty_lam=lam))
+                       TrainConfig(epochs=60, batch_size=None, penalty_lam=lam))
         # curve rows are pre-update; row 0 sees the uniform zero-init weights
         assert report.curve[0].penalty == pytest.approx(lam * math.log(5), rel=1e-12)
         return entropy_of(model.gate_weights())
 
     assert final_entropy(0.5) < final_entropy(0.0)
+
+
+def test_penalty_on_an_ungated_model_fails_before_the_graph_is_built(monkeypatch):
+    X, y = class_data(16, 3, seed=7)
+    model = build_model(ModelConfig(d_in=3, hidden=(2,)), seed=0)
+
+    def no_graph(*args, **kwargs):
+        raise AssertionError("loss_graph was called")
+
+    monkeypatch.setattr(Model, "loss_graph", no_graph)
+    with pytest.raises(ValueError, match="an ungated model has no gate"):
+        train(model, X, y, "classification", TrainConfig(epochs=2, penalty_lam=5.0))
 
 
 # --- failure modes -----------------------------------------------------------------------
@@ -382,12 +378,12 @@ def test_config_and_task_validation():
         TrainConfig(epochs=0)
     with pytest.raises(ValueError):
         TrainConfig(batch_size=0)
-    with pytest.raises(ValueError):
-        TrainConfig(penalty="dropout")
     with pytest.raises(ValueError, match="record_every must be >= 1"):
         TrainConfig(record_every=0)
     with pytest.raises(ValueError, match="penalty_lam must be >= 0"):
-        TrainConfig(penalty_lam=-0.1)  # rejected even while penalty="none"
+        TrainConfig(penalty_lam=-0.1)
+    with pytest.raises(ValueError, match="penalty_lam must be >= 0"):
+        TrainConfig(penalty_lam=math.nan)
     X, y = class_data(8, 3, seed=0)
     model = build_model(ModelConfig(d_in=3, hidden=(2,)), seed=0)
     with pytest.raises(ValueError):
