@@ -1,11 +1,12 @@
 """Reverse-mode automatic differentiation over dense float64 arrays.
 
-Graphs are built define-by-run: constructing a node evaluates it immediately.
-``recompute`` re-runs the forward pass from the current leaf values,
-``backward`` fills ``grad`` on every node between a scalar loss and its
-trainable leaves, and ``grad_check`` verifies analytic gradients against
-central finite differences by re-evaluating the graph under perturbed leaf
-values.
+Each op is defined once, in ``OPS``: its plain-array forward and one gradient
+rule per parent. Graphs are built define-by-run: constructing a node runs its
+forward at once. ``recompute`` re-runs the forward pass from the current leaf
+values, ``backward`` applies the gradient rules from a scalar loss down to its
+trainable leaves, and ``grad_check`` checks them against central finite
+differences. ``models.NUMPY_OPS`` runs the same forwards on plain arrays, and
+the loss arithmetic ``bce``/``mse`` gives the training metrics.
 
 Leaves come in two kinds. A ``leaf`` is trainable: ``backward`` returns its
 gradient. A ``constant`` (data, targets, fixed matrices) never takes one, and
@@ -26,6 +27,8 @@ the arrays it returns are those buffers.
 Every forward op checks its output for NaN and Inf (``reshape`` only views a
 checked value). Checking only the loss would miss overflow: ``sigmoid(inf)``
 is exactly 1.0, so a matmul that overflows can still leave the loss finite.
+Operands numpy cannot combine raise a ``ShapeError`` that names the op, every
+operand shape and the op's constant argument.
 
 Leaves are 2-D (vectors are 1xN rows); op outputs may have more axes. A batch
 of small matrices is a per-sample stack, an (n, p, q) array: ``matmul``
@@ -36,6 +39,8 @@ operand takes its gradient as one 2-D product over all stacked rows.
 """
 
 from __future__ import annotations
+
+from collections import namedtuple
 
 import numpy as np
 
@@ -65,8 +70,8 @@ class Node:
 
     ``grad`` is populated by ``backward`` and has the same shape as ``value``;
     it stays ``None`` on nodes that depend on no trainable leaf. ``aux``
-    carries op-specific constants (scale factor, loss target). ``tape`` caches
-    the compiled graph under this node once it has been used as a root.
+    carries the op's constant argument (``aux_name`` in ``OPS``). ``tape``
+    caches the compiled graph under this node once it has been used as a root.
     """
 
     __slots__ = ("op", "parents", "value", "grad", "aux", "tape")
@@ -129,109 +134,142 @@ def _sum_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g.sum(axis=axes).reshape(shape)
 
 
+def _same_shape(p: np.ndarray, t: np.ndarray) -> None:
+    if p.shape != t.shape:  # a loss must not broadcast its operands
+        raise ShapeError(f"loss operand shapes differ: {p.shape} vs {t.shape}")
+
+
+def bce(p: np.ndarray, t: np.ndarray) -> float:
+    """Mean binary cross-entropy, predictions clipped to [BCE_CLIP, 1 - BCE_CLIP]."""
+    _same_shape(p, t)
+    pc = np.clip(p, BCE_CLIP, 1.0 - BCE_CLIP)
+    return float(-np.mean(t * np.log(pc) + (1.0 - t) * np.log(1.0 - pc)))
+
+
+def mse(p: np.ndarray, t: np.ndarray) -> float:
+    """Mean squared error over all entries."""
+    _same_shape(p, t)
+    return float(np.mean((p - t) ** 2))
+
+
+def _matmul_grad_b(g, out, transpose_b, a, b):
+    if b.ndim == 2 and a.ndim > 2:  # shared weight: one product over all rows
+        a, g = a.reshape(-1, a.shape[-1]), g.reshape(-1, g.shape[-1])
+    return g.mT @ a if transpose_b else a.mT @ g
+
+
+def _bce_grad_p(g, out, aux, p, t):
+    pc = np.clip(p, BCE_CLIP, 1.0 - BCE_CLIP)  # no gradient where the clip is active
+    return g[0, 0] * (p == pc) * (-t / pc + (1.0 - t) / (1.0 - pc)) / p.size
+
+
+def _bce_grad_t(g, out, aux, p, t):
+    pc = np.clip(p, BCE_CLIP, 1.0 - BCE_CLIP)
+    return g[0, 0] * (np.log(1.0 - pc) - np.log(pc)) / p.size
+
+
+def _mse_grad_p(g, out, aux, p, t):
+    return g[0, 0] * 2.0 * (p - t) / p.size
+
+
+# An op's plain-array forward, ``forward(*parent_values[, aux])``, and one
+# gradient rule per parent, ``rule(g, out, aux, *parent_values)``, giving that
+# parent's gradient before it is summed back to the parent's shape.
+# ``aux_name`` names the op's constant argument, if it takes one.
+_Op = namedtuple("_Op", "forward grads aux_name", defaults=(None,))
+OPS = {
+    "matmul": _Op(lambda a, b, transpose_b=False: a @ (b.mT if transpose_b else b),
+                  (lambda g, out, transpose_b, a, b: g @ (b if transpose_b else b.mT),
+                   _matmul_grad_b), "transpose_b"),
+    "add": _Op(np.add, (lambda g, out, aux, a, b: g,) * 2),
+    "hadamard": _Op(np.multiply, (lambda g, out, aux, a, b: g * b,
+                                  lambda g, out, aux, a, b: g * a)),
+    "reshape": _Op(np.reshape, (lambda g, out, shape, a: g.reshape(a.shape),), "shape"),
+    "softmax_rows": _Op(_stable_softmax_rows, (
+        lambda g, w, aux, a: w * (g - (g * w).sum(axis=-1, keepdims=True)),)),
+    "sigmoid": _Op(_stable_sigmoid, (lambda g, y, aux, a: g * y * (1.0 - y),)),
+    "relu": _Op(lambda a: np.maximum(a, 0.0), (lambda g, y, aux, a: g * (a > 0.0),)),
+    "mean": _Op(lambda a: np.array([[a.mean()]]),
+                (lambda g, y, aux, a: np.full(a.shape, g[0, 0] / a.size),)),
+    "scale": _Op(lambda a, factor: factor * a, (lambda g, y, factor, a: factor * g,), "factor"),
+    "bce_loss": _Op(lambda p, t: np.array([[bce(p, t)]]), (_bce_grad_p, _bce_grad_t)),
+    "mse_loss": _Op(lambda p, t: np.array([[mse(p, t)]]),
+                    (_mse_grad_p, lambda *args: -_mse_grad_p(*args))),
+}
+
+
 def _forward(op: str, parent_values: list[np.ndarray], aux) -> np.ndarray:
-    if op in ("matmul", "add", "hadamard"):
-        a, b = parent_values
-        try:
-            if op == "matmul":
-                out = a @ (b.mT if aux else b)
-            else:
-                out = a + b if op == "add" else a * b
-        except ValueError:
-            raise ShapeError(f"{op} shapes incompatible: {a.shape}, {b.shape}"
-                             + (" (b transposed)" if aux else "")) from None
-        return _check_finite(op, out)
-    if op == "reshape":  # a view of an already checked value
-        try:
-            return parent_values[0].reshape(aux)
-        except ValueError:
-            raise ShapeError(f"cannot reshape {parent_values[0].shape} to {aux}") from None
-    if op == "softmax_rows":
-        return _check_finite(op, _stable_softmax_rows(parent_values[0]))
-    if op == "sigmoid":
-        return _check_finite(op, _stable_sigmoid(parent_values[0]))
-    if op == "relu":
-        return _check_finite(op, np.maximum(parent_values[0], 0.0))
-    if op == "mean":
-        return _check_finite(op, np.array([[parent_values[0].mean()]]))
-    if op == "scale":
-        return _check_finite(op, aux * parent_values[0])
-    if op == "bce_loss":
-        p, t = parent_values
-        if p.shape != t.shape:
-            raise ShapeError(f"bce shapes differ: {p.shape} vs {t.shape}")
-        pc = np.clip(p, BCE_CLIP, 1.0 - BCE_CLIP)
-        v = -np.mean(t * np.log(pc) + (1.0 - t) * np.log(1.0 - pc))
-        return _check_finite(op, np.array([[v]]))
-    if op == "mse_loss":
-        p, t = parent_values
-        if p.shape != t.shape:
-            raise ShapeError(f"mse shapes differ: {p.shape} vs {t.shape}")
-        return _check_finite(op, np.array([[np.mean((p - t) ** 2)]]))
-    raise ValueError(f"unknown op kind: {op}")
+    spec = OPS[op]
+    try:
+        out = spec.forward(*parent_values) if spec.aux_name is None \
+            else spec.forward(*parent_values, aux)
+    except ValueError:
+        shapes = ", ".join(str(v.shape) for v in parent_values)
+        named = "" if spec.aux_name is None else f"; {spec.aux_name}={aux!r}"
+        raise ShapeError(f"{op} shapes incompatible: {shapes}{named}") from None
+    return out if op == "reshape" else _check_finite(op, out)  # reshape views a checked value
 
 
-def _unary(op: str, a: Node, aux=None) -> Node:
-    return Node(op, (a,), _forward(op, [a.value], aux), aux)
+def _node(op: str, *parents: Node, aux=None) -> Node:
+    return Node(op, parents, _forward(op, [p.value for p in parents], aux), aux)
 
 
 def matmul(a: Node, b: Node, transpose_b: bool = False) -> Node:
     """``a @ b`` (``a @ b^T`` over the last two axes when ``transpose_b``),
     batched over leading axes as ``np.matmul`` does."""
-    aux = bool(transpose_b)
-    return Node("matmul", (a, b), _forward("matmul", [a.value, b.value], aux), aux)
+    return _node("matmul", a, b, aux=bool(transpose_b))
 
 
 def reshape(a: Node, shape: tuple[int, ...]) -> Node:
     """``a``'s values in a new layout, as ``np.reshape`` (one axis may be -1)."""
-    return _unary("reshape", a, aux=tuple(shape))
+    return _node("reshape", a, aux=tuple(shape))
 
 
 def add(a: Node, b: Node) -> Node:
-    return Node("add", (a, b), _forward("add", [a.value, b.value], None))
+    return _node("add", a, b)
 
 
 def hadamard(a: Node, b: Node) -> Node:
-    return Node("hadamard", (a, b), _forward("hadamard", [a.value, b.value], None))
+    return _node("hadamard", a, b)
 
 
 def softmax_rows(a: Node) -> Node:
-    return _unary("softmax_rows", a)
+    return _node("softmax_rows", a)
 
 
 def sigmoid(a: Node) -> Node:
-    return _unary("sigmoid", a)
+    return _node("sigmoid", a)
 
 
 def relu(a: Node) -> Node:
-    return _unary("relu", a)
+    return _node("relu", a)
 
 
 def mean(a: Node) -> Node:
-    return _unary("mean", a)
+    return _node("mean", a)
 
 
 def scale(a: Node, factor: float) -> Node:
     factor = float(factor)
     if not np.isfinite(factor):
         raise NumericError("scale factor must be finite")
-    return _unary("scale", a, aux=factor)
+    return _node("scale", a, aux=factor)
 
 
 def bce_loss(pred: Node, target: Node) -> Node:
-    """Mean binary cross-entropy; predictions clipped to [1e-12, 1 - 1e-12].
+    """Mean binary cross-entropy (``bce``) of a prediction node.
 
     Targets must be exactly 0 or 1. Gradient flows to both parents, but is
     zeroed where the clip is active.
     """
     if not np.all((target.value == 0.0) | (target.value == 1.0)):
         raise ValueError("bce targets must be 0 or 1")
-    return Node("bce_loss", (pred, target), _forward("bce_loss", [pred.value, target.value], None))
+    return _node("bce_loss", pred, target)
 
 
 def mse_loss(pred: Node, target: Node) -> Node:
-    """Mean squared error over all entries."""
-    return Node("mse_loss", (pred, target), _forward("mse_loss", [pred.value, target.value], None))
+    """Mean squared error (``mse``) of a prediction node."""
+    return _node("mse_loss", pred, target)
 
 
 def topo_order(root: Node) -> list[Node]:
@@ -281,64 +319,12 @@ def recompute(root: Node) -> np.ndarray:
 
 
 def _accumulate(node: Node) -> None:
-    """Add ``node.grad``'s contribution to each parent that keeps a gradient;
-    a unary op's parent always does, since the node itself depends on a
-    trainable leaf."""
-    g = node.grad
-    op = node.op
-    if op == "matmul":
-        a, b = node.parents
-        transpose_b = node.aux
-        if a.grad is not None:
-            a.grad += _sum_to(g @ (b.value if transpose_b else b.value.mT), a.value.shape)
-        if b.grad is not None:
-            av = a.value
-            if b.value.ndim == 2 and av.ndim > 2:  # shared weight: one product over all rows
-                av, g = av.reshape(-1, av.shape[-1]), g.reshape(-1, g.shape[-1])
-            b.grad += _sum_to(g.mT @ av if transpose_b else av.mT @ g, b.value.shape)
-    elif op in ("add", "hadamard"):
-        a, b = node.parents
-        if a.grad is not None:
-            a.grad += _sum_to(g if op == "add" else g * b.value, a.value.shape)
-        if b.grad is not None:
-            b.grad += _sum_to(g if op == "add" else g * a.value, b.value.shape)
-    elif op == "reshape":
-        (a,) = node.parents
-        a.grad += g.reshape(a.value.shape)
-    elif op == "softmax_rows":
-        (a,) = node.parents
-        w = node.value
-        a.grad += w * (g - (g * w).sum(axis=-1, keepdims=True))
-    elif op == "sigmoid":
-        (a,) = node.parents
-        a.grad += g * node.value * (1.0 - node.value)
-    elif op == "relu":
-        (a,) = node.parents
-        a.grad += g * (a.value > 0.0)
-    elif op == "mean":
-        (a,) = node.parents
-        a.grad += np.full(a.value.shape, g[0, 0] / a.value.size)
-    elif op == "scale":
-        (a,) = node.parents
-        a.grad += node.aux * g
-    elif op == "bce_loss":
-        p, t = node.parents
-        pc = np.clip(p.value, BCE_CLIP, 1.0 - BCE_CLIP)
-        n = p.value.size
-        if p.grad is not None:
-            unclipped = p.value == pc
-            p.grad += g[0, 0] * unclipped * (-t.value / pc + (1.0 - t.value) / (1.0 - pc)) / n
-        if t.grad is not None:
-            t.grad += g[0, 0] * (np.log(1.0 - pc) - np.log(pc)) / n
-    elif op == "mse_loss":
-        p, t = node.parents
-        d = g[0, 0] * 2.0 * (p.value - t.value) / p.value.size
-        if p.grad is not None:
-            p.grad += d
-        if t.grad is not None:
-            t.grad += -d
-    else:
-        raise ValueError(f"unknown op kind: {op}")
+    """Add ``node.grad``'s contribution to each parent that keeps a gradient."""
+    values = [p.value for p in node.parents]
+    for parent, rule in zip(node.parents, OPS[node.op].grads):
+        if parent.grad is not None:
+            parent.grad += _sum_to(rule(node.grad, node.value, node.aux, *values),
+                                   parent.value.shape)
 
 
 def backward(loss: Node) -> dict[Node, np.ndarray]:
@@ -383,25 +369,21 @@ def grad_check(loss: Node, target_leaf: Node, eps: float = 1e-6) -> float:
     if target_leaf.op == "constant":
         raise ValueError("a constant takes no gradient to check")
     grads = backward(loss)
-    analytic = grads.get(target_leaf)
-    if analytic is None:
-        analytic = np.zeros_like(target_leaf.value)
-    else:
-        analytic = analytic.copy()
+    analytic = grads[target_leaf].copy() if target_leaf in grads \
+        else np.zeros_like(target_leaf.value)
 
     original = target_leaf.value.copy()
     worst = 0.0
     try:
-        for i in range(original.shape[0]):
-            for j in range(original.shape[1]):
-                target_leaf.value[i, j] = original[i, j] + eps
-                f_plus = recompute(loss)[0, 0]
-                target_leaf.value[i, j] = original[i, j] - eps
-                f_minus = recompute(loss)[0, 0]
-                target_leaf.value[i, j] = original[i, j]
-                numeric = (f_plus - f_minus) / (2.0 * eps)
-                denom = max(abs(analytic[i, j]), abs(numeric), 1e-12)
-                worst = max(worst, abs(analytic[i, j] - numeric) / denom)
+        for ij in np.ndindex(original.shape):
+            target_leaf.value[ij] = original[ij] + eps
+            f_plus = recompute(loss)[0, 0]
+            target_leaf.value[ij] = original[ij] - eps
+            f_minus = recompute(loss)[0, 0]
+            target_leaf.value[ij] = original[ij]
+            numeric = (f_plus - f_minus) / (2.0 * eps)
+            denom = max(abs(analytic[ij]), abs(numeric), 1e-12)
+            worst = max(worst, abs(analytic[ij] - numeric) / denom)
     finally:
         target_leaf.value = original
         recompute(loss)

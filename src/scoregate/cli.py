@@ -107,6 +107,12 @@ _GENERATORS = {
 
 def cmd_gen(args) -> int:
     generate, flags = _GENERATORS[args.dataset]
+    defaults = vars(_parser().parse_args(["gen", "--dataset", args.dataset, "--out", args.out]))
+    ignored = sorted({f for _, other in _GENERATORS.values() for f in other
+                      if f not in flags and getattr(args, f) != defaults[f]})
+    if ignored:  # a flag another generator reads, set to other than its default
+        raise ValueError(f"--dataset {args.dataset} does not take "
+                         + ", ".join(f"--{f}" for f in ignored))
     params = {flag: getattr(args, flag) for flag in flags}
     ds = generate(*params.values(), args.seed)
 

@@ -5,7 +5,9 @@ Each backbone's forward pass is written once, in ``Model._forward``, against
 an op namespace: ``loss_graph`` runs it with ``autodiff`` on graph leaves to
 build the training graph, and ``predict`` runs it with ``NUMPY_OPS`` on the
 parameter arrays, a plain numpy fast path for inference and Shapley sampling.
-Both routes do the same arithmetic, so they give bit-identical outputs.
+``NUMPY_OPS`` holds the forwards of ``autodiff.OPS`` themselves, so both routes
+do the same arithmetic and give bit-identical outputs. Training updates the
+``params`` arrays in place, and the graph's parameter leaves alias them.
 """
 
 from __future__ import annotations
@@ -22,19 +24,8 @@ from .scores import init_scores, scores_to_weights
 
 BACKBONES = ("mlp", "attention")
 
-# The autodiff ops a forward pass uses, on plain arrays and with the same
-# arithmetic, minus the graph's shape and finiteness checks.
-NUMPY_OPS = SimpleNamespace(
-    constant=np.asarray,
-    matmul=lambda a, b, transpose_b=False: a @ (b.mT if transpose_b else b),
-    reshape=np.reshape,
-    add=np.add,
-    hadamard=np.multiply,
-    scale=lambda a, factor: factor * a,
-    relu=lambda a: np.maximum(a, 0.0),
-    sigmoid=ad._stable_sigmoid,
-    softmax_rows=ad._stable_softmax_rows,
-)
+# The autodiff forwards on plain arrays, without the graph's checks.
+NUMPY_OPS = SimpleNamespace(constant=np.asarray, **{op: s.forward for op, s in ad.OPS.items()})
 
 
 class DataLeaves:
@@ -200,17 +191,22 @@ class Model:
     @classmethod
     def from_dict(cls, d: dict) -> "Model":
         config = ModelConfig.from_dict(d["config"])
-        shapes = {name: (entry["rows"], entry["cols"]) for name, entry in d["parameters"].items()}
+        entries = dict(d["parameters"])
         if d["scores"] is not None:
-            shapes["scores"] = (1, len(d["scores"]))
+            entries["scores"] = {"rows": 1, "cols": len(d["scores"]), "data": d["scores"]}
         expected = {name: shape for name, (shape, _) in config.param_specs().items()}
-        wrong = sorted(f"{name} {shapes.get(name)} != {expected.get(name)}"
-                       for name in shapes.keys() | expected
-                       if shapes.get(name) != expected.get(name))
-        if wrong:  # None: the file or the config has no such parameter
-            raise ValueError(f"model parameter shapes differ from the config's "
+        wrong = []  # None: the file or the config has no such parameter
+        for name in sorted(entries.keys() | expected):
+            e = entries.get(name)
+            shape = None if e is None else (e["rows"], e["cols"])
+            if shape != expected.get(name):
+                wrong.append(f"{name} {shape} != {expected.get(name)}")
+            elif len(e["data"]) != shape[0] * shape[1]:
+                wrong.append(f"{name} data holds {len(e['data'])} values, not "
+                             f"{shape[0]} x {shape[1]}")
+        if wrong:
+            raise ValueError(f"model parameters differ from the config's "
                              f"(file != config): {', '.join(wrong)}")
-        entries = {**d["parameters"], "scores": {"data": d["scores"]}}
         params = {name: np.asarray(entries[name]["data"], dtype=np.float64).reshape(shape)
                   for name, shape in expected.items()}
         bad = sorted(name for name, arr in params.items() if not np.isfinite(arr).all())

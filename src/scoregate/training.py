@@ -8,14 +8,16 @@ as they stand *before* that epoch's updates.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import autodiff as ad
+from .autodiff import bce, mse  # the loss nodes' arithmetic, used as metrics
 from .models import Model
-from .scores import entropy_penalty_score_grad, scores_to_weights, sparsity_penalty
+from .scores import entropy_penalty_score_grad, sparsity_penalty
 
 TASKS = ("classification", "regression")
 
@@ -45,8 +47,14 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         if self.batch_size is not None and self.batch_size < 1:
             raise ValueError("batch_size must be >= 1 (or None for full batch)")
-        if not self.penalty_lam >= 0:  # rejects NaN too
-            raise ValueError("penalty_lam must be >= 0")
+        for name in ("lr", "eps"):  # these comparisons reject NaN too
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
+        if not 0 <= self.penalty_lam < math.inf:
+            raise ValueError(f"penalty_lam must be >= 0 and finite, got {self.penalty_lam}")
+        for name in ("beta1", "beta2"):
+            if not 0 <= getattr(self, name) < 1:
+                raise ValueError(f"{name} must lie in [0, 1), got {getattr(self, name)}")
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
 
@@ -83,15 +91,6 @@ class TrainReport:
 
 
 # -- reference metric functions (numpy, no graph) ---------------------------
-
-
-def bce(pred: np.ndarray, target: np.ndarray) -> float:
-    p = np.clip(pred, ad.BCE_CLIP, 1.0 - ad.BCE_CLIP)
-    return float(-np.mean(target * np.log(p) + (1.0 - target) * np.log(1.0 - p)))
-
-
-def mse(pred: np.ndarray, target: np.ndarray) -> float:
-    return float(np.mean((pred - target) ** 2))
 
 
 def accuracy(pred: np.ndarray, target: np.ndarray, threshold: float = 0.5) -> float:
@@ -190,23 +189,20 @@ def train(model: Model, X: np.ndarray, y: np.ndarray, task: str, config: TrainCo
     rng = np.random.default_rng(np.random.SeedSequence(config.shuffle_seed))
 
     loss_node, _, leaves, data_leaves = model.loss_graph(X[:batch], y_fit[:batch], loss_kind)
-    param_values = {name: leaves[name].value for name in leaves}
-    adam = adam_init(param_values)
+    adam = adam_init(model.params)  # the graph's parameter leaves alias these arrays
     entropy_penalty = config.penalty_lam > 0
 
     def penalty_value() -> float:
         if not entropy_penalty:
             return 0.0
-        return sparsity_penalty(scores_to_weights(leaves["scores"].value[0]),
-                                config.penalty_lam)
+        return sparsity_penalty(model.gate_weights(), config.penalty_lam)
 
     def record_scores(epoch: int) -> None:
         if gated:
-            s = leaves["scores"].value[0]
             report.scores_trajectory.append({
                 "epoch": epoch,
-                "scores": [float(x) for x in s],
-                "weights": [float(w) for w in scores_to_weights(s)],
+                "scores": [float(x) for x in model.scores],
+                "weights": [float(w) for w in model.gate_weights()],
             })
 
     record_scores(0)
@@ -228,10 +224,10 @@ def train(model: Model, X: np.ndarray, y: np.ndarray, task: str, config: TrainCo
                 grads = ad.backward(loss_node)
                 named_grads = {name: grads[node] for name, node in leaves.items() if node in grads}
                 if entropy_penalty:
-                    w = scores_to_weights(leaves["scores"].value[0])
+                    w = model.gate_weights()
                     named_grads["scores"] = named_grads["scores"] + \
                         entropy_penalty_score_grad(w, config.penalty_lam).reshape(1, -1)
-                adam_step(adam, param_values, named_grads, cfg=config)
+                adam_step(adam, model.params, named_grads, cfg=config)
         except ad.NumericError as exc:
             raise TrainingError(str(exc), epoch) from exc
         report.epochs_run = epoch + 1

@@ -329,7 +329,11 @@ def test_criterion_06_accuracy_direction():
 
 
 def build_c7() -> dict:
-    tmp = Path(tempfile.mkdtemp(prefix="speed-"))
+    with tempfile.TemporaryDirectory(prefix="speed-") as tmp:
+        return _c7_payload(Path(tmp))
+
+
+def _c7_payload(tmp: Path) -> dict:
     csv = tmp / "n16.csv"
     model = tmp / "model.json"
     report = tmp / "report.json"

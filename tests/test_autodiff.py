@@ -420,6 +420,23 @@ def test_shape_errors():
         ad.as_matrix(np.ones((2, 2, 2)))
 
 
+def test_shape_error_names_the_op_and_every_operand_shape():
+    stack = ad.reshape(ad.leaf(np.ones((6, 2))), (3, 2, 2))
+    cases = [
+        (lambda: ad.matmul(stack, ad.reshape(ad.leaf(np.ones((6, 3))), (3, 2, 3)),
+                           transpose_b=True),
+         "matmul shapes incompatible: (3, 2, 2), (3, 2, 3); transpose_b=True"),
+        (lambda: ad.add(ad.leaf(np.ones((2, 3))), ad.leaf(np.ones((3, 2)))),
+         "add shapes incompatible: (2, 3), (3, 2)"),
+        (lambda: ad.reshape(ad.leaf(np.ones((6, 2))), (5, -1)),
+         "reshape shapes incompatible: (6, 2); shape=(5, -1)"),
+    ]
+    for build, message in cases:
+        with pytest.raises(ad.ShapeError) as info:
+            build()
+        assert str(info.value) == message
+
+
 def test_numeric_errors():
     with pytest.raises(ad.NumericError):
         ad.leaf(np.array([[np.nan]]))

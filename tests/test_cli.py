@@ -90,6 +90,22 @@ def test_gen_sidecar_params(dataset, flags, params, tmp_path):
     assert sidecar["params"] == params
 
 
+def test_gen_rejects_a_flag_its_generator_does_not_take(tmp_path, capsys):
+    out = tmp_path / "f1.csv"
+    assert main(["gen", "--dataset", "friedman1", "--n", "30", "--noise", "99", "--d", "3",
+                 "--seed", "1", "--out", str(out)]) == 1
+    assert "--dataset friedman1 does not take --d, --noise" in capsys.readouterr().err
+    assert not out.exists()
+    # a flag left at its default passes, as in every recorded manifest's argv
+    assert main(["gen", "--dataset", "friedman1", "--n", "30", "--noise", "5", "--d", "10",
+                 "--seed", "1", "--out", str(out)]) == 0
+    manifest = read_json(out.with_suffix(".manifest.json"))
+    assert "--noise" in manifest["argv"] and "--informative" in manifest["argv"]
+    first = out.read_bytes()
+    assert main(["replay", "--manifest", str(out.with_suffix(".manifest.json"))]) == 0
+    assert out.read_bytes() == first
+
+
 def test_gen_bad_args_exit_one(tmp_path):
     assert main(["gen", "--dataset", "synth", "--n", "0",
                  "--out", str(tmp_path / "x.csv")]) == 1
@@ -147,7 +163,11 @@ def test_train_usage_failures(workdir, tmp_path):
     (["--model", "vanilla", "--lam", "5"], "an ungated model has no gate"),
     (["--init-values", "{sidecar}"], "--init-values is read only with --init gt, not --init zero"),
     (["--init", "random", "--init-values", "{sidecar}"], "not --init random"),
-], ids=["lam-on-vanilla", "init-values-alone", "init-values-with-random"])
+    (["--lr", "-1"], "lr must be finite and > 0, got -1.0"),
+    (["--lr", "nan"], "lr must be finite and > 0, got nan"),
+    (["--lam", "inf"], "penalty_lam must be >= 0 and finite, got inf"),
+], ids=["lam-on-vanilla", "init-values-alone", "init-values-with-random",
+        "negative-lr", "nan-lr", "inf-lam"])
 def test_train_rejects_an_option_it_would_ignore(flags, message, workdir, tmp_path,
                                                  monkeypatch, capsys):
     def no_graph(*args, **kwargs):

@@ -286,7 +286,9 @@ def _tampered_model_file(tmp_path, gated, tamper):
     (True, lambda raw: raw["parameters"].pop("b1"), r"\): b1 None != \(1, 3\)$"),
     (False, lambda raw: raw["parameters"]["W1"].update(rows=3, data=[0.5] * 9),
      r"\): W1 \(3, 3\) != \(4, 3\)$"),
-], ids=["nine-scores", "scores-on-vanilla", "missing-b1", "short-W1"])
+    (False, lambda raw: raw["parameters"]["W0"]["data"].pop(),
+     r"\): W0 data holds 39 values, not 10 x 4$"),
+], ids=["nine-scores", "scores-on-vanilla", "missing-b1", "short-W1", "short-W0-data"])
 def test_load_checks_parameters_against_the_config(gated, tamper, message, tmp_path):
     with pytest.raises(ValueError, match=message):
         Model.load(_tampered_model_file(tmp_path, gated, tamper))

@@ -373,6 +373,38 @@ def test_dropped_graphs_need_no_cyclic_collector(backbone):
             gc.enable()
 
 
+@pytest.mark.parametrize("name, value, message", [
+    ("lr", -1.0, "lr must be finite and > 0"),
+    ("lr", 0.0, "lr must be finite and > 0"),
+    ("lr", math.nan, "lr must be finite and > 0"),
+    ("lr", math.inf, "lr must be finite and > 0"),
+    ("penalty_lam", math.inf, "penalty_lam must be >= 0 and finite"),
+    ("beta1", 1.0, r"beta1 must lie in \[0, 1\)"),
+    ("beta1", -0.1, r"beta1 must lie in \[0, 1\)"),
+    ("beta2", math.nan, r"beta2 must lie in \[0, 1\)"),
+    ("eps", 0.0, "eps must be finite and > 0"),
+    ("eps", math.nan, "eps must be finite and > 0"),
+])
+def test_config_rejects_bad_optimizer_input(name, value, message):
+    with pytest.raises(ValueError, match=message):
+        TrainConfig(**{name: value})
+
+
+@pytest.mark.parametrize("backbone", ["mlp", "attention"])
+def test_adam_updates_the_arrays_the_graph_leaves_hold(backbone):
+    X, y = class_data(8, 3, seed=0)
+    model = build_model(ModelConfig(d_in=3, backbone=backbone, hidden=(2,), model_dim=4,
+                                    ffn_dim=4, gated=True), seed=0)
+    _, _, leaves, _ = model.loss_graph(X, y, "bce")
+    assert list(leaves) == list(model.params)
+    assert all(leaves[name].value is arr for name, arr in model.params.items())
+    arrays = dict(model.params)
+    start = {name: arr.copy() for name, arr in arrays.items()}
+    train(model, X, y, "classification", TrainConfig(epochs=2, lr=0.01, batch_size=4))
+    assert all(model.params[name] is arr for name, arr in arrays.items())
+    assert all(not np.array_equal(arr, start[name]) for name, arr in arrays.items())
+
+
 def test_config_and_task_validation():
     with pytest.raises(ValueError):
         TrainConfig(epochs=0)
