@@ -6,7 +6,7 @@ forward at once. ``recompute`` re-runs the forward pass from the current leaf
 values, ``backward`` applies the gradient rules from a scalar loss down to its
 trainable leaves, and ``grad_check`` checks them against central finite
 differences. ``models.NUMPY_OPS`` runs the same forwards on plain arrays, and
-the loss arithmetic ``bce``/``mse`` gives the training metrics.
+the forwards ``bce``/``mse``/``entropy`` give the training metrics.
 
 Leaves come in two kinds. A ``leaf`` is trainable: ``backward`` returns its
 gradient. A ``constant`` (data, targets, fixed matrices) never takes one, and
@@ -15,14 +15,15 @@ products and logs that only such nodes would receive.
 
 The first ``recompute`` or ``backward`` of a root compiles its graph into a
 tape cached on the root: the non-leaf nodes in topological order for the
-forward pass, and, reversed, the nodes that depend on a trainable leaf for
-the backward pass. The tape leaves out the root itself, so it holds no
-reference back to the node that holds it, and a dropped graph is freed by
-reference counting alone, without waiting for the cyclic collector. A node's
-``parents`` never change after construction, so the tape stays valid for the
-life of the graph however its leaf values are edited or rebound. ``backward``
-keeps each node's ``grad`` buffer and zeroes it in place on the next call;
-the arrays it returns are those buffers.
+forward pass, and, reversed, the nodes that depend on a trainable leaf for the
+backward pass, each bound to its gradient-taking parents and their rules. The
+tape leaves out the root itself, so it holds no reference back to the node
+that holds it, and a dropped graph is freed by reference counting alone,
+without waiting for the cyclic collector. A node's ``parents`` never change
+after construction, so the tape stays valid for the life of the graph however
+its leaf values are edited or rebound. ``backward`` keeps each node's ``grad``
+buffer and zeroes it in place on the next call; the arrays it returns are
+those buffers.
 
 Every forward op checks its output for NaN and Inf (``reshape`` only views a
 checked value). Checking only the loss would miss overflow: ``sigmoid(inf)``
@@ -82,7 +83,7 @@ class Node:
         self.value = value
         self.grad: np.ndarray | None = None
         self.aux = aux
-        self.tape: tuple[list[Node], list[Node], list[Node]] | None = None
+        self.tape: _Tape | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -152,6 +153,12 @@ def mse(p: np.ndarray, t: np.ndarray) -> float:
     return float(np.mean((p - t) ** 2))
 
 
+def entropy(w: np.ndarray) -> np.ndarray:
+    """Entropy -sum(w ln w) of each row of weights as an (..., 1) column; the
+    log's argument is clipped at 1e-300, so a weight that underflowed adds 0."""
+    return -(w * np.log(np.clip(w, 1e-300, None))).sum(axis=-1, keepdims=True)
+
+
 def _matmul_grad_b(g, out, transpose_b, a, b):
     if b.ndim == 2 and a.ndim > 2:  # shared weight: one product over all rows
         a, g = a.reshape(-1, a.shape[-1]), g.reshape(-1, g.shape[-1])
@@ -187,6 +194,8 @@ OPS = {
     "reshape": _Op(np.reshape, (lambda g, out, shape, a: g.reshape(a.shape),), "shape"),
     "softmax_rows": _Op(_stable_softmax_rows, (
         lambda g, w, aux, a: w * (g - (g * w).sum(axis=-1, keepdims=True)),)),
+    "entropy_rows": _Op(entropy, (
+        lambda g, h, aux, w: -g * (np.log(np.clip(w, 1e-300, None)) + 1.0),)),
     "sigmoid": _Op(_stable_sigmoid, (lambda g, y, aux, a: g * y * (1.0 - y),)),
     "relu": _Op(lambda a: np.maximum(a, 0.0), (lambda g, y, aux, a: g * (a > 0.0),)),
     "mean": _Op(lambda a: np.array([[a.mean()]]),
@@ -235,6 +244,11 @@ def hadamard(a: Node, b: Node) -> Node:
 
 def softmax_rows(a: Node) -> Node:
     return _node("softmax_rows", a)
+
+
+def entropy_rows(a: Node) -> Node:
+    """The ``entropy`` of each row of weights, such as a ``softmax_rows`` output."""
+    return _node("entropy_rows", a)
 
 
 def sigmoid(a: Node) -> Node:
@@ -292,39 +306,42 @@ def topo_order(root: Node) -> list[Node]:
     return order
 
 
-def _tape(root: Node) -> tuple[list[Node], list[Node], list[Node]]:
+_Tape = namedtuple("_Tape", "forward live root_rules steps leaves")
+
+
+def _tape(root: Node) -> _Tape:
     """The graph under ``root`` compiled once and cached on it: the non-leaf
-    nodes in topological order, the nodes that depend on a trainable leaf in
-    reverse order, and the trainable leaves in topological order. ``root`` is
-    in none of the lists (a cached reference to itself would make every graph
-    a reference cycle); the callers handle it directly."""
+    nodes in topological order (``forward``); in reverse order, the nodes that
+    depend on a trainable leaf (``live``) and, for each of them that is no
+    leaf, the (parent, gradient rule) pairs of its live parents (``steps``);
+    the root's own pairs (``root_rules``); and the trainable leaves in
+    topological order (``leaves``). ``root`` is in none of the node lists (a
+    cached reference to itself would make every graph a reference cycle); the
+    callers handle it directly."""
     if root.tape is None:
         order = topo_order(root)[:-1]  # the root comes last
         live: set[Node] = set()
         for node in order:
             if node.op == "leaf" or any(p in live for p in node.parents):
                 live.add(node)
-        root.tape = ([n for n in order if n.parents],
-                     [n for n in reversed(order) if n in live],
-                     [n for n in order if n.op == "leaf"])
+
+        def rules(node):
+            return [(p, rule) for p, rule in zip(node.parents, OPS[node.op].grads) if p in live]
+
+        root.tape = _Tape([n for n in order if n.parents],
+                          [n for n in reversed(order) if n in live],
+                          rules(root) if root.parents else [],
+                          [(n, rules(n)) for n in reversed(order) if n in live and n.parents],
+                          [n for n in order if n.op == "leaf"])
     return root.tape
 
 
 def recompute(root: Node) -> np.ndarray:
     """Re-run the forward pass from current leaf values; returns root value."""
-    for node in (*_tape(root)[0], root):
+    for node in (*_tape(root).forward, root):
         if node.parents:
             node.value = _forward(node.op, [p.value for p in node.parents], node.aux)
     return root.value
-
-
-def _accumulate(node: Node) -> None:
-    """Add ``node.grad``'s contribution to each parent that keeps a gradient."""
-    values = [p.value for p in node.parents]
-    for parent, rule in zip(node.parents, OPS[node.op].grads):
-        if parent.grad is not None:
-            parent.grad += _sum_to(rule(node.grad, node.value, node.aux, *values),
-                                   parent.value.shape)
 
 
 def backward(loss: Node) -> dict[Node, np.ndarray]:
@@ -339,20 +356,21 @@ def backward(loss: Node) -> dict[Node, np.ndarray]:
     """
     if loss.value.shape != (1, 1):
         raise ValueError(f"backward requires a scalar (1x1) loss, got {loss.value.shape}")
-    _, live, leaves = _tape(loss)
+    _, live, root_rules, steps, leaves = _tape(loss)
     if not live and loss.op != "leaf":  # the loss has no live parent and is no leaf
         return {}
-    live = (loss, *live)
-    for node in live:
+    for node in (loss, *live):
         g = node.grad
         if g is None or g.shape != node.value.shape:
             node.grad = np.zeros_like(node.value)
         else:
             g.fill(0.0)
     loss.grad[0, 0] = 1.0
-    for node in live:
-        if node.parents:
-            _accumulate(node)
+    for node, rules in ((loss, root_rules), *steps):
+        values = [p.value for p in node.parents]
+        for parent, rule in rules:
+            parent.grad += _sum_to(rule(node.grad, node.value, node.aux, *values),
+                                   parent.value.shape)
     return {n: n.grad for n in (loss, *leaves) if n.op == "leaf"}
 
 

@@ -279,7 +279,11 @@ def cmd_stability(args) -> int:
     if args.n_runs < 2:
         raise ValueError(f"--n-runs must be at least 2 to compare rankings, got {args.n_runs}")
     ds = data.load_csv(args.data)
-    _check_samples(ds.n, args.samples)  # before the first run trains
+    # checked here, as they would fail only after the first run had trained
+    _check_samples(ds.n, args.samples)
+    if args.coalitions < ds.d + 2:
+        raise ValueError(f"--coalitions must be at least {ds.d + 2} for {ds.d} features, "
+                         f"got {args.coalitions}")
     run_seeds = [args.base_seed + r for r in range(args.n_runs)]
     background = mean_background(ds.X)
 

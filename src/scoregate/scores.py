@@ -73,29 +73,6 @@ def analytic_grads(W, s, x) -> tuple[np.ndarray, np.ndarray]:
     return d_w, d_s
 
 
-def sparsity_penalty(weights, lam: float = 0.0) -> float:
-    """Optional score regularizer: lam * entropy(w)."""
-    if lam < 0:
-        raise ValueError("lambda must be >= 0")
-    if lam == 0:
-        return 0.0
-    w = np.asarray(weights, dtype=np.float64).reshape(-1)
-    wc = np.clip(w, 1e-300, None)
-    return lam * float(-(w * np.log(wc)).sum())
-
-
-def entropy_penalty_score_grad(weights, lam: float) -> np.ndarray:
-    """Gradient of lam * entropy(softmax(s)) with respect to the scores s.
-
-    d/ds_l = -lam * w_l * (ln w_l + H(w)); used by the training loop, which
-    cannot express the entropy through its graph ops.
-    """
-    w = np.asarray(weights, dtype=np.float64).reshape(-1)
-    wc = np.clip(w, 1e-300, None)
-    h = -(w * np.log(wc)).sum()
-    return -lam * w * (np.log(wc) + h)
-
-
 @dataclass
 class Ranking:
     """Features ordered by descending importance value.

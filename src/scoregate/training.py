@@ -2,8 +2,9 @@
 
 The batch graph is built once per fit and successive batches are fed in by
 swapping the data-leaf values, so no graph reconstruction happens inside the
-loop. Epoch metrics are computed on the full training set with the parameters
-as they stand *before* that epoch's updates.
+loop. The gate-entropy penalty is a term of that graph's loss, so ``backward``
+gives every gradient Adam applies. Epoch metrics are computed on the full
+training set with the parameters as they stand *before* that epoch's updates.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import bce, mse  # the loss nodes' arithmetic, used as metrics
 from .models import Model
-from .scores import entropy_penalty_score_grad, sparsity_penalty
 
 TASKS = ("classification", "regression")
 
@@ -189,13 +189,15 @@ def train(model: Model, X: np.ndarray, y: np.ndarray, task: str, config: TrainCo
     rng = np.random.default_rng(np.random.SeedSequence(config.shuffle_seed))
 
     loss_node, _, leaves, data_leaves = model.loss_graph(X[:batch], y_fit[:batch], loss_kind)
+    if config.penalty_lam > 0:  # lam * entropy of the gate weights
+        loss_node = ad.add(loss_node, ad.scale(
+            ad.entropy_rows(ad.softmax_rows(leaves["scores"])), config.penalty_lam))
     adam = adam_init(model.params)  # the graph's parameter leaves alias these arrays
-    entropy_penalty = config.penalty_lam > 0
 
     def penalty_value() -> float:
-        if not entropy_penalty:
+        if config.penalty_lam == 0:
             return 0.0
-        return sparsity_penalty(model.gate_weights(), config.penalty_lam)
+        return config.penalty_lam * float(ad.entropy(model.gate_weights())[0])
 
     def record_scores(epoch: int) -> None:
         if gated:
@@ -222,12 +224,8 @@ def train(model: Model, X: np.ndarray, y: np.ndarray, task: str, config: TrainCo
                 data_leaves.assign(X[rows], y_fit[rows])
                 ad.recompute(loss_node)
                 grads = ad.backward(loss_node)
-                named_grads = {name: grads[node] for name, node in leaves.items() if node in grads}
-                if entropy_penalty:
-                    w = model.gate_weights()
-                    named_grads["scores"] = named_grads["scores"] + \
-                        entropy_penalty_score_grad(w, config.penalty_lam).reshape(1, -1)
-                adam_step(adam, model.params, named_grads, cfg=config)
+                adam_step(adam, model.params, {name: grads[node] for name, node in leaves.items()},
+                          cfg=config)
         except ad.NumericError as exc:
             raise TrainingError(str(exc), epoch) from exc
         report.epochs_run = epoch + 1

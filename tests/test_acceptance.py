@@ -17,18 +17,10 @@ import numpy as np
 
 import scoregate.autodiff as ad
 from scoregate import data
-from scoregate.cli import _sample_rows, main
-from scoregate.explain import (
-    exact_shapley,
-    global_importance,
-    kernel_shap,
-    mean_background,
-    rank_stability,
-    relevant_order,
-    spearman,
-)
+from scoregate.cli import main
+from scoregate.explain import exact_shapley, kernel_shap, relevant_order, spearman
 from scoregate.models import ModelConfig, build_model
-from scoregate.scores import analytic_grads, extract_ranking, ranking_from_values
+from scoregate.scores import Ranking, analytic_grads, extract_ranking, ranking_from_values
 from scoregate.training import TrainConfig, train
 
 CACHE: dict = {}
@@ -375,31 +367,22 @@ def test_criterion_07_explanation_speed():
 # --- criterion 8: ranking stability --------------------------------------------------------------
 
 
+def gen_synth_n10(tmp: Path) -> Path:
+    """Criterion 3's seed-0 dataset (5 relevant + 5 noise features) as a CSV."""
+    csv = tmp / "n10.csv"
+    assert main(["gen", "--dataset", "synth", "--n", "1000", "--noise", "5",
+                 "--seed", "0", "--out", str(csv)]) == 0
+    return csv
+
+
 def build_c8() -> dict:
-    ds = data.gen_synthetic(1000, 5, 0)
-    background = mean_background(ds.X)
-    score_rankings, shap_rankings = [], []
-    for r in range(5):
-        train_ds, _ = data.split(ds, 0.8, r)
-        model = build_model(ModelConfig(d_in=10, hidden=(8,), gated=True), r)
-        train(model, train_ds.X, train_ds.y, "classification",
-              TrainConfig(epochs=1000, lr=0.001, batch_size=64, shuffle_seed=r))
-        score_rankings.append(extract_ranking(model.scores))
-        idx = _sample_rows(ds.n, 50, r)
-        result = kernel_shap(model.predict, ds.X[idx], background,
-                             n_coalitions=256, seed=r)
-        shap_rankings.append(global_importance(result))
-    scores_var = rank_stability(score_rankings)
-    shap_var = rank_stability(shap_rankings)
-    return {
-        "criterion": 8,
-        "scores_rank_variance": [float(v) for v in scores_var],
-        "shap_rank_variance": [float(v) for v in shap_var],
-        "scores_mean_variance": float(scores_var.mean()),
-        "shap_mean_variance": float(shap_var.mean()),
-        "scores_orders": [[int(i) for i in r.order] for r in score_rankings],
-        "shap_orders": [[int(i) for i in r.order] for r in shap_rankings],
-    }
+    with tempfile.TemporaryDirectory(prefix="stability-") as tmp:
+        out = Path(tmp) / "stability.json"
+        assert main(["stability", "--data", str(gen_synth_n10(Path(tmp))), "--hidden", "8",
+                     "--epochs", "1000", "--lr", "0.001", "--batch-size", "64",
+                     "--n-runs", "5", "--samples", "50", "--coalitions", "256",
+                     "--base-seed", "0", "--out", str(out)]) == 0
+        return {"criterion": 8, **json.loads(out.read_text(encoding="utf-8"))}
 
 
 def test_criterion_08_stability():
@@ -417,16 +400,27 @@ def test_criterion_08_stability():
 # --- criterion 9: SHAP ground-truth agreement -------------------------------------------------------
 
 
+def build_c9() -> dict:
+    # criterion 3's seed-0 run, trained and explained by the baseline
+    with tempfile.TemporaryDirectory(prefix="shap-gt-") as tmp:
+        tmp = Path(tmp)
+        csv, model, out = gen_synth_n10(tmp), tmp / "model.json", tmp / "shap.json"
+        assert main(["train", "--data", str(csv), "--model", "scores", "--hidden", "8",
+                     "--epochs", "1000", "--lr", "0.001", "--batch-size", "64",
+                     "--seed", "0", "--out-model", str(model),
+                     "--out-report", str(tmp / "report.json")]) == 0
+        assert main(["shap", "--model", str(model), "--data", str(csv),
+                     "--samples", "100", "--coalitions", "2048", "--seed", "0",
+                     "--out", str(out)]) == 0
+        sidecar = data.read_sidecar(csv.with_suffix(".sidecar.json"))
+        return {"ranking": json.loads(out.read_text(encoding="utf-8"))["ranking"],
+                "ground_truth": sidecar["ground_truth_importance"]}
+
+
 def test_criterion_09_shap_recovers_ranking():
-    # same protocol as criterion 3's seed-0 run, explained by the baseline
-    if "c9_model" not in CACHE:
-        ds, model, _ = train_synth_model(1000, 5, 0, (8,), 1000, 0.001, 64)
-        CACHE["c9_model"] = (ds, model)
-    ds, model = CACHE["c9_model"]
-    result = kernel_shap(model.predict, ds.X[_sample_rows(ds.n, 100, 0)],
-                         mean_background(ds.X), n_coalitions=2048, seed=0)
-    ranking = global_importance(result)
-    gt = ranking_from_values(ds.ground_truth_importances(), "ground-truth")
+    payload = get("c9", build_c9)
+    ranking = Ranking.from_dict(payload["ranking"])
+    gt = ranking_from_values(payload["ground_truth"], "ground-truth")
     top5 = one_indexed(ranking.order[:5])
     rel = one_indexed(relevant_order(ranking, gt))
     ok = top5 == RELEVANT_ONE_INDEXED and rel == RELEVANT_ONE_INDEXED

@@ -141,6 +141,16 @@ def test_softmax_backward_fd():
     assert rel_err(ad.backward(loss)[s], numeric_grad(loss, s)) < 1e-6
 
 
+def test_entropy_rows_backward_fd_and_closed_form():
+    # positive weights off the simplex, so the rule's "+ 1" is seen: a softmax
+    # parent would cancel any constant added to the gradient of its row
+    W = ad.leaf(RNG.uniform(0.05, 2.0, size=(3, 4)))
+    loss = ad.mean(ad.entropy_rows(W))
+    grads = ad.backward(loss)
+    assert rel_err(grads[W], numeric_grad(loss, W)) < 1e-7
+    np.testing.assert_allclose(grads[W], -(np.log(W.value) + 1.0) / 3.0, rtol=1e-14)
+
+
 def test_relu_backward_fd_and_zero_subgradient():
     x = RNG.normal(size=(3, 4))
     x[np.abs(x) < 0.05] += 0.1  # keep clear of the kink for the FD check

@@ -392,6 +392,20 @@ def test_stability_checks_samples_before_training(samples, message, workdir, tmp
     assert not (tmp_path / "stab.json").exists()
 
 
+@pytest.mark.parametrize("coalitions", ["8", "0"])
+def test_stability_checks_coalitions_before_training(coalitions, workdir, tmp_path,
+                                                     monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(cli, "train", lambda *args, **kwargs: calls.append(args))
+    # 7 features need the empty, the full and 7 more coalitions
+    assert main(["stability", "--data", str(workdir["csv"]), "--coalitions", coalitions,
+                 "--out", str(tmp_path / "stab.json")]) == 1
+    assert f"--coalitions must be at least 9 for 7 features, got {coalitions}" \
+        in capsys.readouterr().err
+    assert calls == []
+    assert not (tmp_path / "stab.json").exists()
+
+
 # --- plot / replay -----------------------------------------------------------------------
 
 

@@ -313,8 +313,8 @@ def test_scores_property_is_a_live_view():
                          ids=lambda c: f"{c.backbone}-i0")  # i0: as in config_id
 @pytest.mark.parametrize("scale", [1.0, 40.0])
 def test_gate_weights_equal_the_graphs_softmax_node(cfg, scale):
-    # the ranking, the entropy penalty and the report read gate_weights; the
-    # forward pass reads the graph's softmax_rows node: one softmax serves both
+    # the ranking and the report read gate_weights; the forward pass reads the
+    # graph's softmax_rows node: one softmax serves both
     model = build_model(replace(cfg, score_init="random-uniform"), seed=11)
     model.params["scores"] *= scale
     X, y = make_batch(np.random.default_rng(11), 3, cfg.d_in, binary=True)

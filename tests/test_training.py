@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 import scoregate.autodiff as ad
+import scoregate.training as training
 from scoregate.models import Model, ModelConfig, build_model
 from scoregate.scores import scores_to_weights
 from scoregate.training import (
@@ -318,6 +319,36 @@ def test_entropy_penalty_sharpens_weights():
         return entropy_of(model.gate_weights())
 
     assert final_entropy(0.5) < final_entropy(0.0)
+
+
+@pytest.mark.parametrize("backbone", ["mlp", "attention"])
+def test_penalty_gradient_reaches_adam_from_backward_alone(backbone, monkeypatch):
+    X, y = class_data(16, 4, seed=3)
+    mcfg = ModelConfig(d_in=4, backbone=backbone, hidden=(3,), model_dim=4, ffn_dim=4,
+                       gated=True, score_init="random-uniform")
+    lam = 0.7
+    seen = []
+
+    def recording_adam_step(state, params, grads, cfg):
+        seen.append({name: g.copy() for name, g in grads.items()})
+        adam_step(state, params, grads, cfg)
+
+    monkeypatch.setattr(training, "adam_step", recording_adam_step)
+    train(build_model(mcfg, seed=2), X, y, "classification",
+          TrainConfig(epochs=1, batch_size=None, penalty_lam=lam))
+    # the same step without the penalty, plus its closed-form score gradient
+    model = build_model(mcfg, seed=2)
+    loss, _, leaves, _ = model.loss_graph(X, y, "bce")
+    grads = ad.backward(loss)
+    w = model.gate_weights()
+    entropy = -(w * np.log(w)).sum()
+    expected = {name: grads[node] for name, node in leaves.items()}
+    expected["scores"] = expected["scores"] - lam * w * (np.log(w) + entropy)
+    step, = seen
+    assert list(step) == list(expected)
+    np.testing.assert_allclose(step.pop("scores"), expected.pop("scores"), rtol=0, atol=1e-12)
+    for name in expected:  # the penalty reaches no other parameter
+        np.testing.assert_array_equal(step[name], expected[name], err_msg=name)
 
 
 def test_penalty_on_an_ungated_model_fails_before_the_graph_is_built(monkeypatch):
