@@ -93,6 +93,20 @@ def _sample_rows(n: int, samples: int, seed: int) -> np.ndarray:
     return np.sort(rng.choice(n, size=samples, replace=False))
 
 
+def _reject_unread(args, option: str, reads: dict[str, tuple[str, ...]]) -> None:
+    """Fail, naming them, on flags that only another value of ``option`` reads
+    (``reads`` maps each value to its flags) set to other than their default."""
+    sub = next(a for a in _parser()._actions if isinstance(a, argparse._SubParsersAction))
+    defaults = {a.dest: a.default for a in sub.choices[args.command]._actions}
+    value = getattr(args, option)
+    unread = sorted({f for flags in reads.values() for f in flags
+                     if f in defaults and f not in reads[value]
+                     and getattr(args, f) != defaults[f]})
+    if unread:
+        raise ValueError(f"--{option} {value} does not take "
+                         + ", ".join("--" + f.replace("_", "-") for f in unread))
+
+
 # -- gen ----------------------------------------------------------------------
 
 
@@ -106,13 +120,8 @@ _GENERATORS = {
 
 
 def cmd_gen(args) -> int:
+    _reject_unread(args, "dataset", {name: flags for name, (_, flags) in _GENERATORS.items()})
     generate, flags = _GENERATORS[args.dataset]
-    defaults = vars(_parser().parse_args(["gen", "--dataset", args.dataset, "--out", args.out]))
-    ignored = sorted({f for _, other in _GENERATORS.values() for f in other
-                      if f not in flags and getattr(args, f) != defaults[f]})
-    if ignored:  # a flag another generator reads, set to other than its default
-        raise ValueError(f"--dataset {args.dataset} does not take "
-                         + ", ".join(f"--{f}" for f in ignored))
     params = {flag: getattr(args, flag) for flag in flags}
     ds = generate(*params.values(), args.seed)
 
@@ -127,6 +136,10 @@ def cmd_gen(args) -> int:
 # -- train ---------------------------------------------------------------------
 
 
+# the architecture flags each backbone reads
+_BACKBONE_FLAGS = {"mlp": ("hidden",), "attention": ("model_dim", "ffn_dim")}
+
+
 def _parse_hidden(text: str) -> tuple[int, ...]:
     try:
         dims = tuple(int(p) for p in text.split(",") if p.strip())
@@ -138,6 +151,7 @@ def _parse_hidden(text: str) -> tuple[int, ...]:
 
 
 def cmd_train(args) -> int:
+    _reject_unread(args, "backbone", _BACKBONE_FLAGS)
     if args.init_values and args.init != "gt":
         raise ValueError(f"--init-values is read only with --init gt, not --init {args.init}")
     ds = data.load_csv(args.data)
@@ -176,7 +190,7 @@ def cmd_train(args) -> int:
                     [args.out_model, args.out_report])
     acc = payload["final_test_accuracy"]
     acc_txt = "n/a" if acc is None else f"{acc:.4f}"
-    print(f"trained {args.model} {args.backbone} for {report.epochs_run} epochs: "
+    print(f"trained {args.model} {args.backbone} for {tcfg.epochs} epochs: "
           f"final train loss {report.final_train_loss:.6g}, test accuracy {acc_txt}")
     return 0
 
@@ -206,18 +220,21 @@ def cmd_shap(args) -> int:
     ds = data.load_csv(args.data)
     idx = _sample_rows(ds.n, args.samples, args.seed)
     background = mean_background(ds.X)
+    t0 = time.perf_counter()
     result = kernel_shap(model.predict, ds.X[idx], background,
                          n_coalitions=args.coalitions, seed=args.seed)
+    elapsed_ms = (time.perf_counter() - t0) * 1000.0
     ranking = global_importance(result)
 
     payload = result.to_dict()
     payload["ranking"] = ranking.to_dict()
     payload["order_one_indexed"] = _one_indexed(ranking.order)
     payload["sample_indices"] = [int(i) for i in idx]
+    payload["elapsed_ms"] = elapsed_ms
     _write_json(args.out, payload)
     _write_manifest(args, args.out, {"seed": args.seed}, [args.model, args.data], [args.out])
     print(f"shap ranking (one-indexed): {payload['order_one_indexed']} "
-          f"({result.elapsed_ms:.1f} ms, {result.n_coalitions} coalitions)")
+          f"({elapsed_ms:.1f} ms, {result.n_coalitions} coalitions)")
     return 0
 
 
@@ -278,6 +295,7 @@ def cmd_compare(args) -> int:
 def cmd_stability(args) -> int:
     if args.n_runs < 2:
         raise ValueError(f"--n-runs must be at least 2 to compare rankings, got {args.n_runs}")
+    _reject_unread(args, "backbone", _BACKBONE_FLAGS)
     ds = data.load_csv(args.data)
     # checked here, as they would fail only after the first run had trained
     _check_samples(ds.n, args.samples)

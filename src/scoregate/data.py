@@ -35,7 +35,6 @@ def _rng(seed: int, *key: int) -> np.random.Generator:
 class FeatureMeta:
     name: str
     ground_truth_importance: float | None
-    relevant: bool
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,8 +77,8 @@ class Dataset:
         return [m.ground_truth_importance for m in self.feature_meta]
 
 
-def _meta(names, importances, relevant) -> tuple[FeatureMeta, ...]:
-    return tuple(FeatureMeta(n, imp, rel) for n, imp, rel in zip(names, importances, relevant))
+def _meta(importances) -> tuple[FeatureMeta, ...]:
+    return tuple(FeatureMeta(f"f{i + 1}", imp) for i, imp in enumerate(importances))
 
 
 def synthetic_targets(X) -> tuple[np.ndarray, np.ndarray]:
@@ -104,9 +103,7 @@ def gen_synthetic(n: int, noise_features: int, seed: int) -> Dataset:
     X = np.column_stack(cols)
     _, y = synthetic_targets(X)
     importances = list(SYNTH_COEFFS) + [0.0] * noise_features
-    relevant = [True] * 5 + [False] * noise_features
-    names = [f"f{i + 1}" for i in range(d)]
-    return Dataset(X, y, _meta(names, importances, relevant), "classification")
+    return Dataset(X, y, _meta(importances), "classification")
 
 
 def friedman1_targets(X) -> np.ndarray:
@@ -129,10 +126,7 @@ def gen_friedman1(n: int, sigma: float, seed: int) -> Dataset:
     y = friedman1_targets(X)
     if sigma > 0:
         y = y + _rng(seed, _TARGET_NOISE, 0).normal(0.0, sigma, size=n)
-    importances = [1.0] * 5 + [0.0] * 5
-    relevant = [True] * 5 + [False] * 5
-    names = [f"f{i + 1}" for i in range(10)]
-    return Dataset(X, y, _meta(names, importances, relevant), "regression")
+    return Dataset(X, y, _meta([1.0] * 5 + [0.0] * 5), "regression")
 
 
 def friedman2_targets(X) -> np.ndarray:
@@ -151,8 +145,7 @@ def gen_friedman2(n: int, sigma: float, seed: int) -> Dataset:
     y = friedman2_targets(X)
     if sigma > 0:
         y = y + _rng(seed, _TARGET_NOISE, 0).normal(0.0, sigma, size=n)
-    names = [f"f{i + 1}" for i in range(4)]
-    return Dataset(X, y, _meta(names, [1.0] * 4, [True] * 4), "regression")
+    return Dataset(X, y, _meta([1.0] * 4), "regression")
 
 
 def gen_classification(n: int, d: int, n_informative: int, n_redundant: int,
@@ -193,9 +186,7 @@ def gen_classification(n: int, d: int, n_informative: int, n_redundant: int,
 
     X = np.column_stack(columns)
     importances = [1.0] * n_informative + [0.0] * (d - n_informative)
-    relevant = [True] * n_informative + [False] * (d - n_informative)
-    names = [f"f{i + 1}" for i in range(d)]
-    return Dataset(X, y, _meta(names, importances, relevant), "classification")
+    return Dataset(X, y, _meta(importances), "classification")
 
 
 def save_csv(ds: Dataset, path) -> None:
@@ -242,7 +233,7 @@ def load_csv(path) -> Dataset:
         raise _first_bad_row(path, header, body) or ValueError(f"{path}: {reason}")
     X, y = data[:, :-1], data[:, -1]
     task = "classification" if np.all((y == 0.0) | (y == 1.0)) else "regression"
-    meta = tuple(FeatureMeta(n, None, False) for n in header[:-1])
+    meta = tuple(FeatureMeta(n, None) for n in header[:-1])
     return Dataset(X, y, meta, task)
 
 
@@ -277,7 +268,7 @@ def write_sidecar(path, generator: str, params: dict, seed: int, ds: Dataset) ->
         "generator": generator,
         "params": params,
         "seed": seed,
-        "ground_truth_importance": [m.ground_truth_importance for m in ds.feature_meta],
+        "ground_truth_importance": ds.ground_truth_importances(),
     }
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 

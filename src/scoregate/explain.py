@@ -11,7 +11,6 @@ point the two agree to solver precision.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +19,7 @@ from .autodiff import NumericError
 from .scores import Ranking, ranking_from_values
 
 EXACT_MAX_FEATURES = 15
+RESIDUAL_ROWS = 16  # rows whose fit residuals share one pass over the kernel design
 
 
 @dataclass
@@ -28,14 +28,13 @@ class ShapResult:
     base_value: float
     method: str  # "exact" | "kernel"
     n_coalitions: int
-    elapsed_ms: float = 0.0
     # kernel regression only (None for "exact" and for d = 1): the weighted
-    # design's condition number s[0] / s[-1], and the largest per-row gap
-    # |sum(phi) - (f(x) - base_value)|. The last feature's phi is set from
-    # that gap, so the residual is zero up to rounding by construction: it
-    # shows float error in phi, not a poor regression fit.
+    # design's condition number s[0] / s[-1], and the largest relative
+    # residual of a row's weighted least-squares fit, ||Aw sol - bw|| / ||bw||.
+    # The residual is 0 up to rounding when the model is additive in its
+    # inputs, and grows with the interactions the linear fit cannot express.
     design_condition: float | None = None
-    efficiency_residual: float | None = None
+    regression_residual: float | None = None
 
     @property
     def n_samples(self) -> int:
@@ -53,18 +52,9 @@ class ShapResult:
             "method": self.method,
             "n_samples": self.n_samples,
             "n_coalitions": self.n_coalitions,
-            "elapsed_ms": self.elapsed_ms,
             "design_condition": self.design_condition,
-            "efficiency_residual": self.efficiency_residual,
+            "regression_residual": self.regression_residual,
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ShapResult":
-        return cls(phi=np.asarray(d["phi"], dtype=np.float64), base_value=d["base_value"],
-                   method=d["method"], n_coalitions=int(d["n_coalitions"]),
-                   elapsed_ms=float(d.get("elapsed_ms", 0.0)),
-                   design_condition=d.get("design_condition"),
-                   efficiency_residual=d.get("efficiency_residual"))
 
 
 def mean_background(X: np.ndarray) -> np.ndarray:
@@ -102,7 +92,6 @@ def _shapley_order_weights(d: int) -> np.ndarray:
 
 def exact_shapley(predict_fn, X: np.ndarray, background: np.ndarray) -> ShapResult:
     """Exact Shapley values by full coalition enumeration (feasible for small d)."""
-    t0 = time.perf_counter()
     X = _rows_to_explain(X)
     n, d = X.shape
     if d > EXACT_MAX_FEATURES:
@@ -126,8 +115,7 @@ def exact_shapley(predict_fn, X: np.ndarray, background: np.ndarray) -> ShapResu
         Z = np.concatenate([bg, X[r]]).take(pick)
         vals = np.asarray(predict_fn(Z), dtype=np.float64).reshape(-1)
         phi[r] = np.sum(weight * (vals[present] - vals[absent]), axis=1)
-    return ShapResult(phi=phi, base_value=base_value, method="exact", n_coalitions=2 ** d,
-                      elapsed_ms=(time.perf_counter() - t0) * 1000.0)
+    return ShapResult(phi=phi, base_value=base_value, method="exact", n_coalitions=2 ** d)
 
 
 def shapley_kernel_weight(d: int, k: int) -> float:
@@ -175,7 +163,6 @@ def kernel_shap(predict_fn, X: np.ndarray, background: np.ndarray, n_coalitions:
     enumeration under exact kernel weights, which reproduces exact Shapley
     values.
     """
-    t0 = time.perf_counter()
     X = _rows_to_explain(X)
     n, d = X.shape
     bg = np.asarray(background, dtype=np.float64).reshape(-1)
@@ -187,8 +174,7 @@ def kernel_shap(predict_fn, X: np.ndarray, background: np.ndarray, n_coalitions:
 
     if d == 1:
         phi = (np.asarray(predict_fn(X), dtype=np.float64) - base_value).reshape(n, 1)
-        return ShapResult(phi=phi, base_value=base_value, method="kernel", n_coalitions=2,
-                          elapsed_ms=(time.perf_counter() - t0) * 1000.0)
+        return ShapResult(phi=phi, base_value=base_value, method="kernel", n_coalitions=2)
 
     budget = n_coalitions - 2  # empty + full are evaluated outside the regression
     if budget >= 2 ** d - 2:
@@ -205,7 +191,8 @@ def kernel_shap(predict_fn, X: np.ndarray, background: np.ndarray, n_coalitions:
     # the weighted design is the same for every row: factor it once, with
     # the rank rule of lstsq under rcond=None, and keep its pseudo-inverse
     # with the weights folded in, so each row's solve is one matvec
-    U, s, Vt = np.linalg.svd(A * sw[:, None], full_matrices=False)
+    Aw = A * sw[:, None]
+    U, s, Vt = np.linalg.svd(Aw, full_matrices=False)
     rank = int(np.count_nonzero(s > np.finfo(np.float64).eps * max(A.shape) * s[0]))
     if rank < d - 1:
         raise NumericError(
@@ -216,17 +203,27 @@ def kernel_shap(predict_fn, X: np.ndarray, background: np.ndarray, n_coalitions:
     delta = np.asarray(predict_fn(X), dtype=np.float64).reshape(-1) - base_value
     pick = _gather_index(masks)
     phi = np.zeros((n, d))
-    for r in range(n):
-        Z = np.concatenate([bg, X[r]]).take(pick)
-        vals = np.asarray(predict_fn(Z), dtype=np.float64).reshape(-1)
-        sol = solve @ (vals - base_value - z[:, -1] * delta[r])
-        phi[r, :-1] = sol
-        phi[r, -1] = delta[r] - sol.sum()
+    # a block's weighted targets: one product per block checks their fits,
+    # where one per row would read the whole design again after each predict
+    held = np.empty((min(n, RESIDUAL_ROWS), masks.shape[0]))
+    worst = 0.0  # the largest squared relative residual
+    for start in range(0, n, len(held)):
+        rows = range(start, min(start + len(held), n))
+        for i, r in enumerate(rows):
+            Z = np.concatenate([bg, X[r]]).take(pick)
+            vals = np.asarray(predict_fn(Z), dtype=np.float64).reshape(-1)
+            target = vals - base_value - z[:, -1] * delta[r]
+            sol = solve @ target
+            phi[r, :-1] = sol
+            phi[r, -1] = delta[r] - sol.sum()
+            held[i] = target * sw
+        bw = held[:len(rows)]
+        res = phi[rows.start:rows.stop, :-1] @ Aw.T - bw
+        fit = np.einsum("ij,ij->i", bw, bw)  # 0 for an all-zero target, which sol = 0 fits
+        worst = max(worst, (np.einsum("ij,ij->i", res, res)[fit > 0] / fit[fit > 0]).max(initial=0))
     return ShapResult(phi=phi, base_value=base_value, method="kernel",
-                      n_coalitions=masks.shape[0] + 2,
-                      elapsed_ms=(time.perf_counter() - t0) * 1000.0,
-                      design_condition=float(s[0] / s[-1]),
-                      efficiency_residual=float(np.max(np.abs(phi.sum(axis=1) - delta))))
+                      n_coalitions=masks.shape[0] + 2, design_condition=float(s[0] / s[-1]),
+                      regression_residual=math.sqrt(worst))
 
 
 # -- ranking comparison ------------------------------------------------------

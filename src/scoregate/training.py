@@ -10,7 +10,6 @@ training set with the parameters as they stand *before* that epoch's updates.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,6 +19,11 @@ from .autodiff import bce, mse  # the loss nodes' arithmetic, used as metrics
 from .models import Model
 
 TASKS = ("classification", "regression")
+
+# Adam's moment decay rates and denominator floor
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
 
 
 class TrainingError(RuntimeError):
@@ -36,9 +40,6 @@ class TrainConfig:
     lr: float = 0.001
     batch_size: int | None = 32  # None trains full-batch
     shuffle_seed: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     penalty_lam: float = 0.0  # the gate-entropy penalty's weight; 0 turns it off
     record_every: int = 100
 
@@ -47,14 +48,10 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         if self.batch_size is not None and self.batch_size < 1:
             raise ValueError("batch_size must be >= 1 (or None for full batch)")
-        for name in ("lr", "eps"):  # these comparisons reject NaN too
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
+        if not 0 < self.lr < math.inf:  # these comparisons reject NaN too
+            raise ValueError(f"lr must be finite and > 0, got {self.lr}")
         if not 0 <= self.penalty_lam < math.inf:
             raise ValueError(f"penalty_lam must be >= 0 and finite, got {self.penalty_lam}")
-        for name in ("beta1", "beta2"):
-            if not 0 <= getattr(self, name) < 1:
-                raise ValueError(f"{name} must lie in [0, 1), got {getattr(self, name)}")
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
 
@@ -71,9 +68,7 @@ class EpochRecord:
 @dataclass
 class TrainReport:
     task: str
-    loss_kind: str
     config: TrainConfig
-    epochs_run: int = 0
     curve: list[EpochRecord] = field(default_factory=list)
     scores_trajectory: list[dict] = field(default_factory=list)
     final_train_loss: float = float("nan")
@@ -81,13 +76,10 @@ class TrainReport:
     final_test_accuracy: float | None = None
     y_min: float | None = None
     y_max: float | None = None
-    wall_time_ms: float = 0.0  # kept out of to_dict so reports stay bit-reproducible
 
     def to_dict(self) -> dict:
-        d = {**vars(self), "config": {**vars(self.config)},
-             "curve": [{**vars(r)} for r in self.curve]}
-        del d["wall_time_ms"]
-        return d
+        return {**vars(self), "config": {**vars(self.config)},
+                "curve": [{**vars(r)} for r in self.curve]}
 
 
 # -- reference metric functions (numpy, no graph) ---------------------------
@@ -127,13 +119,13 @@ def adam_step(state: dict, params: dict[str, np.ndarray], grads: dict[str, np.nd
     t = state["t"]
     g = np.concatenate([grads[name].ravel() for name in params])
     m, v = state["m"], state["v"]
-    m *= cfg.beta1
-    m += (1.0 - cfg.beta1) * g
-    v *= cfg.beta2
-    v += (1.0 - cfg.beta2) * g * g
-    m_hat = m / (1.0 - cfg.beta1 ** t)
-    v_hat = v / (1.0 - cfg.beta2 ** t)
-    step = cfg.lr * m_hat / (np.sqrt(v_hat) + cfg.eps)
+    m *= BETA1
+    m += (1.0 - BETA1) * g
+    v *= BETA2
+    v += (1.0 - BETA2) * g * g
+    m_hat = m / (1.0 - BETA1 ** t)
+    v_hat = v / (1.0 - BETA2 ** t)
+    step = cfg.lr * m_hat / (np.sqrt(v_hat) + EPS)
     start = 0
     for p in params.values():
         p -= step[start:start + p.size].reshape(p.shape)
@@ -165,14 +157,13 @@ def train(model: Model, X: np.ndarray, y: np.ndarray, task: str, config: TrainCo
     gated = model.config.gated
     if config.penalty_lam > 0 and not gated:
         raise ValueError("penalty_lam penalizes the gate's entropy; an ungated model has no gate")
-    t0 = time.perf_counter()
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64).reshape(-1)
     n = X.shape[0]
 
     loss_kind = "bce" if task == "classification" else "mse"
     loss_ref = bce if loss_kind == "bce" else mse
-    report = TrainReport(task=task, loss_kind=loss_kind, config=config)
+    report = TrainReport(task=task, config=config)
     if task == "regression":
         y_fit, report.y_min, report.y_max = normalize_targets(y)
         span = report.y_max - report.y_min
@@ -228,7 +219,6 @@ def train(model: Model, X: np.ndarray, y: np.ndarray, task: str, config: TrainCo
                           cfg=config)
         except ad.NumericError as exc:
             raise TrainingError(str(exc), epoch) from exc
-        report.epochs_run = epoch + 1
 
         if (epoch + 1) % config.record_every == 0 and epoch + 1 < config.epochs:
             record_scores(epoch + 1)
@@ -239,5 +229,4 @@ def train(model: Model, X: np.ndarray, y: np.ndarray, task: str, config: TrainCo
     report.final_accuracy = accuracy(final_preds, y_fit, acc_threshold)
     if X_test is not None:
         report.final_test_accuracy = accuracy(model.predict(X_test), y_test_fit, acc_threshold)
-    report.wall_time_ms = (time.perf_counter() - t0) * 1000.0
     return report

@@ -184,6 +184,8 @@ def build_c3() -> dict:
     runs = []
     for seed in range(5):
         ds, model, _ = train_synth_model(1000, 5, seed, (8,), 1000, 0.001, 64)
+        if seed == 0:  # criterion 9 explains this model; kept beside the payload
+            CACHE["c3_seed0_model"] = model
         ranking = extract_ranking(model.scores)
         gt = ranking_from_values(ds.ground_truth_importances(), "ground-truth")
         runs.append({
@@ -401,14 +403,13 @@ def test_criterion_08_stability():
 
 
 def build_c9() -> dict:
-    # criterion 3's seed-0 run, trained and explained by the baseline
+    # criterion 3's seed-0 model (the one `train --hidden 8 --epochs 1000 --lr 0.001
+    # --batch-size 64 --seed 0` writes, byte for byte), explained by the baseline
+    get("c3", build_c3)
     with tempfile.TemporaryDirectory(prefix="shap-gt-") as tmp:
         tmp = Path(tmp)
         csv, model, out = gen_synth_n10(tmp), tmp / "model.json", tmp / "shap.json"
-        assert main(["train", "--data", str(csv), "--model", "scores", "--hidden", "8",
-                     "--epochs", "1000", "--lr", "0.001", "--batch-size", "64",
-                     "--seed", "0", "--out-model", str(model),
-                     "--out-report", str(tmp / "report.json")]) == 0
+        CACHE["c3_seed0_model"].save(model)
         assert main(["shap", "--model", str(model), "--data", str(csv),
                      "--samples", "100", "--coalitions", "2048", "--seed", "0",
                      "--out", str(out)]) == 0

@@ -118,7 +118,7 @@ def test_train_artifacts(workdir):
     model = Model.load(workdir["model"])
     assert model.config.gated and model.config.hidden == (4,)
     report = read_json(workdir["report"])
-    assert report["epochs_run"] == 6
+    assert report["config"]["epochs"] == 6
     assert len(report["curve"]) == 6
     assert [t["epoch"] for t in report["scores_trajectory"]] == [0, 2, 4, 6]
     assert report["model_kind"] == "scores"
@@ -166,8 +166,12 @@ def test_train_usage_failures(workdir, tmp_path):
     (["--lr", "-1"], "lr must be finite and > 0, got -1.0"),
     (["--lr", "nan"], "lr must be finite and > 0, got nan"),
     (["--lam", "inf"], "penalty_lam must be >= 0 and finite, got inf"),
+    (["--backbone", "attention", "--hidden", "9"], "--backbone attention does not take --hidden"),
+    (["--model-dim", "5"], "--backbone mlp does not take --model-dim"),
+    (["--ffn-dim", "7", "--model-dim", "5"], "--backbone mlp does not take --ffn-dim, --model-dim"),
 ], ids=["lam-on-vanilla", "init-values-alone", "init-values-with-random",
-        "negative-lr", "nan-lr", "inf-lam"])
+        "negative-lr", "nan-lr", "inf-lam", "hidden-on-attention", "model-dim-on-mlp",
+        "ffn-dim-on-mlp"])
 def test_train_rejects_an_option_it_would_ignore(flags, message, workdir, tmp_path,
                                                  monkeypatch, capsys):
     def no_graph(*args, **kwargs):
@@ -180,6 +184,19 @@ def test_train_rejects_an_option_it_would_ignore(flags, message, workdir, tmp_pa
                  "--out-model", str(out_m), "--out-report", str(tmp_path / "r.json")]) == 1
     assert message in capsys.readouterr().err
     assert not out_m.exists()
+
+
+def test_train_replays_an_attention_manifest(workdir, tmp_path):
+    # the manifest records --hidden at its default, which attention then accepts
+    out_m = tmp_path / "att.json"
+    assert main(["train", "--data", str(workdir["csv"]), "--backbone", "attention",
+                 "--model-dim", "4", "--ffn-dim", "4", "--epochs", "1", "--seed", "0",
+                 "--out-model", str(out_m), "--out-report", str(tmp_path / "r.json")]) == 0
+    manifest = out_m.with_suffix(".manifest.json")
+    assert "--hidden" in read_json(manifest)["argv"]
+    first = out_m.read_bytes()
+    assert main(["replay", "--manifest", str(manifest)]) == 0
+    assert out_m.read_bytes() == first
 
 
 def _train_options() -> list[str]:
@@ -231,7 +248,8 @@ def test_every_train_option_changes_the_result(option, workdir, tmp_path, monkey
         run_dir = tmp_path / name
         run_dir.mkdir()
         monkeypatch.chdir(run_dir)
-        assert main(["train", "--data", str(workdir["csv"]), "--hidden", "4", "--epochs", "2",
+        small = [] if "attention" in argv else ["--hidden", "4"]  # attention rejects --hidden
+        assert main(["train", "--data", str(workdir["csv"]), *small, "--epochs", "2",
                      "--batch-size", "8", "--out-model", "model.json",
                      "--out-report", "report.json",
                      *[a.format(**paths) for a in argv]]) == 0
@@ -275,7 +293,8 @@ def test_shap_output(workdir, tmp_path):
     payload = read_json(out)
     assert len(payload["phi"]) == 5 and len(payload["phi"][0]) == 7
     assert payload["n_coalitions"] == 128  # d=7 fits inside the budget: full enum
-    assert payload["design_condition"] >= 1.0 and payload["efficiency_residual"] <= 1e-12
+    assert payload["design_condition"] >= 1.0 and payload["regression_residual"] >= 0.0
+    assert payload["elapsed_ms"] >= 0.0
     assert payload["method"] == "kernel"
     assert payload["sample_indices"] == sorted(payload["sample_indices"])
     assert payload["ranking"]["source"] == "shap"
@@ -374,6 +393,18 @@ def test_stability_rejects_a_single_run_before_training(tmp_path, monkeypatch, c
     assert main(["stability", "--data", str(tmp_path / "missing.csv"), "--n-runs", "1",
                  "--out", str(tmp_path / "stab.json")]) == 1
     assert "--n-runs must be at least 2" in capsys.readouterr().err
+
+
+def test_stability_rejects_a_flag_its_backbone_does_not_read(tmp_path, monkeypatch, capsys):
+    def no_training(*args, **kwargs):
+        raise AssertionError("train was called")
+
+    monkeypatch.setattr(cli, "train", no_training)
+    out = tmp_path / "stab.json"
+    assert main(["stability", "--data", str(tmp_path / "missing.csv"), "--backbone", "attention",
+                 "--hidden", "9", "--out", str(out)]) == 1
+    assert "--backbone attention does not take --hidden" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("samples, message", [
@@ -612,3 +643,10 @@ def test_console_script_smoke(tmp_path):
                            "import sys; from scoregate.cli import main; sys.exit(main(['--version']))"],
                           capture_output=True, text=True)
     assert proc.returncode == 0
+
+
+def test_only_the_cli_reads_the_clock():
+    # a command's timing goes into its payload; no library result carries one
+    package = Path(cli.__file__).parent
+    timed = sorted(p.name for p in package.glob("*.py") if "perf_counter" in p.read_text("utf-8"))
+    assert timed == ["cli.py"]

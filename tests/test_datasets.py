@@ -64,7 +64,6 @@ def test_gen_synthetic_shapes_ranges_and_meta():
     assert np.all(ds.X[:, 5:] >= 0.0) and np.all(ds.X[:, 5:] <= 1.0)
     assert [m.name for m in ds.feature_meta] == [f"f{i}" for i in range(1, 17)]
     assert ds.ground_truth_importances() == list(SYNTH_COEFFS) + [0.0] * 11
-    assert [m.relevant for m in ds.feature_meta] == [True] * 5 + [False] * 11
     # labels come from the published formula
     _, y = synthetic_targets(ds.X)
     np.testing.assert_array_equal(ds.y, y)
@@ -137,7 +136,7 @@ def test_friedman2_formula_and_ranges():
         yi = math.sqrt(x[0] ** 2 + (x[1] * x[2] - 1.0 / (x[1] * x[3])) ** 2)
         assert abs(ds.y[i] - yi) < 1e-9
     np.testing.assert_array_equal(ds.y, friedman2_targets(ds.X))
-    assert all(m.relevant for m in ds.feature_meta)
+    assert ds.ground_truth_importances() == [1.0] * 4
 
 
 def test_friedman_rejects_bad_args():
@@ -276,7 +275,7 @@ _EXTREMES = [0.0, -0.0, 5e-324, -5e-324, np.nextafter(2.2250738585072014e-308, 0
 @settings(max_examples=60, deadline=None)
 def test_csv_round_trip_is_bit_exact(tmp_path_factory, d, n, values):
     cells = np.resize(np.array(values), n * (d + 1)).reshape(n, d + 1)
-    meta = tuple(FeatureMeta(f"f{j + 1}", None, False) for j in range(d))
+    meta = tuple(FeatureMeta(f"f{j + 1}", None) for j in range(d))
     ds = Dataset(cells[:, :d], cells[:, d], meta, "regression")
     path = tmp_path_factory.mktemp("round_trip") / "ds.csv"
     save_csv(ds, path)
@@ -356,7 +355,7 @@ def test_split_rejects_bad_args():
 
 
 def test_dataset_validation():
-    meta = (FeatureMeta("f1", None, False),)
+    meta = (FeatureMeta("f1", None),)
     with pytest.raises(ValueError):
         Dataset(np.ones((3, 1)), np.ones(2), meta, "regression")
     with pytest.raises(ValueError):

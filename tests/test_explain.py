@@ -393,20 +393,49 @@ def test_kernel_shap_rejects_a_singular_design(monkeypatch):
 
 
 def test_kernel_shap_design_diagnostics():
-    predict = mlp_predict(7, seed=6)
     rng = np.random.default_rng(9)
-    X = rng.normal(size=(4, 7))
-    bg = rng.normal(size=7)
-    for n_coalitions in (50, 2 ** 7):
-        res = kernel_shap(predict, X, bg, n_coalitions=n_coalitions, seed=1)
-        assert 1.0 <= res.design_condition < 1e3
-        gap = np.abs(res.phi.sum(axis=1) - (predict(X) - res.base_value)).max()
-        assert res.efficiency_residual == pytest.approx(gap, abs=1e-15)
-        assert res.efficiency_residual <= 1e-12
+    X = rng.normal(size=(4, 6))
+    bg = rng.normal(size=6)
+    w = rng.normal(size=6)
+    for n_coalitions in (40, 2 ** 6):  # sampled, then full enumeration
+        # an additive model is fit exactly; an interaction leaves a residual
+        linear = kernel_shap(lambda Z: Z @ w, X, bg, n_coalitions=n_coalitions, seed=1)
+        assert 1.0 <= linear.design_condition < 1e3
+        assert 0.0 <= linear.regression_residual <= 1e-12
+        product = kernel_shap(lambda Z: Z[:, 0] * Z[:, 1] + Z[:, 2], X, bg,
+                              n_coalitions=n_coalitions, seed=1)
+        assert product.regression_residual >= 0.1
+    # the background itself: every coalition's target is 0, fit exactly by phi = 0
+    at_bg = kernel_shap(lambda Z: Z[:, 0] * Z[:, 1] + Z[:, 2], bg[None], bg, n_coalitions=40)
+    assert at_bg.regression_residual == 0.0
     one = kernel_shap(lambda Z: Z[:, 0], np.ones((2, 1)), np.zeros(1), n_coalitions=4)
-    assert one.design_condition is None and one.efficiency_residual is None
-    exact = exact_shapley(predict, X, bg)
-    assert exact.design_condition is None and exact.efficiency_residual is None
+    assert one.design_condition is None and one.regression_residual is None
+    exact = exact_shapley(lambda Z: Z @ w, X, bg)
+    assert exact.design_condition is None and exact.regression_residual is None
+
+
+def test_regression_residual_reaches_the_last_partial_block():
+    # every row but the last is the background (an all-zero target, residual
+    # 0); the last row sits alone in a partial block of RESIDUAL_ROWS
+    d = 6
+    rng = np.random.default_rng(3)
+    bg = rng.normal(size=d)
+
+    def f(Z):
+        return Z[:, 0] * Z[:, 1] + Z[:, 2]
+
+    X = np.tile(bg, (2 * explain.RESIDUAL_ROWS + 1, 1))
+    X[-1] = rng.normal(size=d)
+    res = kernel_shap(f, X, bg, n_coalitions=2 ** d)
+    # reference: the last row's weighted least-squares fit, rebuilt by hand
+    masks, weights = explain._full_masks(d)
+    z, sw = masks.astype(np.float64), np.sqrt(weights)
+    delta = f(X[-1:])[0] - res.base_value
+    target = (f(np.where(masks, X[-1], bg)) - res.base_value - z[:, -1] * delta) * sw
+    fitted = ((z[:, :-1] - z[:, -1:]) * sw[:, None]) @ res.phi[-1, :-1]
+    expect = np.linalg.norm(fitted - target) / np.linalg.norm(target)
+    assert expect >= 0.1
+    assert res.regression_residual == pytest.approx(expect, rel=1e-12)
 
 
 def test_kernel_weight_values():
@@ -435,13 +464,13 @@ def test_mean_background():
 
 def test_shap_result_round_trip_and_global_importance():
     phi = np.array([[1.0, -3.0], [-2.0, 1.0]])
-    res = ShapResult(phi=phi, base_value=0.5, method="exact", n_coalitions=4,
-                     elapsed_ms=12.5)
+    res = ShapResult(phi=phi, base_value=0.5, method="exact", n_coalitions=4)
     np.testing.assert_array_equal(res.global_importance(), [1.5, 2.0])
     assert res.n_samples == 2
-    back = ShapResult.from_dict(res.to_dict())
-    np.testing.assert_array_equal(back.phi, phi)
-    assert back.method == "exact" and back.n_coalitions == 4
+    back = json.loads(json.dumps(res.to_dict()))
+    np.testing.assert_array_equal(back["phi"], phi)
+    assert back["method"] == "exact" and back["n_coalitions"] == 4
+    assert back["global_importance"] == [1.5, 2.0]
     r = global_importance(res)
     assert r.order == [1, 0] and r.source == "shap"
 
@@ -453,13 +482,22 @@ def test_shap_payload_schema(n_coalitions):
     for res in (kernel_shap(predict, X, np.zeros(5), n_coalitions=n_coalitions, seed=3),
                 exact_shapley(predict, X, np.zeros(5))):
         payload = json.loads(json.dumps(res.to_dict()))
-        assert sorted(payload) == ["base_value", "design_condition", "efficiency_residual",
-                                   "elapsed_ms", "global_importance", "method",
-                                   "n_coalitions", "n_samples", "phi"]
-        back = ShapResult.from_dict(payload)
-        assert back.design_condition == res.design_condition
-        assert back.efficiency_residual == res.efficiency_residual
-        assert back.to_dict() == res.to_dict()
+        assert sorted(payload) == ["base_value", "design_condition", "global_importance",
+                                   "method", "n_coalitions", "n_samples", "phi",
+                                   "regression_residual"]
+        assert payload == res.to_dict()
+        assert payload["design_condition"] == res.design_condition
+        assert payload["regression_residual"] == res.regression_residual
+
+
+def test_explainers_rerun_to_equal_results():
+    # a result holds no clock reading: no key needs stripping to compare reruns
+    predict = mlp_predict(5, seed=1)
+    X = np.random.default_rng(2).normal(size=(3, 5))
+    for explainer in (lambda: exact_shapley(predict, X, np.zeros(5)),
+                      lambda: kernel_shap(predict, X, np.zeros(5), n_coalitions=20, seed=3),
+                      lambda: kernel_shap(predict, X, np.zeros(5), n_coalitions=2 ** 5)):
+        assert explainer().to_dict() == explainer().to_dict()
 
 
 # --- rank correlation ----------------------------------------------------------
