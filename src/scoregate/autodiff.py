@@ -115,9 +115,10 @@ def constant(values) -> Node:
 
 
 def _stable_softmax_rows(x: np.ndarray) -> np.ndarray:
-    shifted = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = x - x.max(axis=-1, keepdims=True)  # the only new array: exp and divide write into it
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
@@ -159,6 +160,18 @@ def entropy(w: np.ndarray) -> np.ndarray:
     return -(w * np.log(np.clip(w, 1e-300, None))).sum(axis=-1, keepdims=True)
 
 
+def _dense(x, W, b, relu=False):
+    out = x @ W  # a new array, so the bias and the relu write into it
+    out += b
+    return np.maximum(out, 0.0, out=out) if relu else out
+
+
+def _dense_g(g, out, relu):
+    """The gradient at ``x @ W + b``: relu's mask reads the output, which is
+    positive exactly where its input was."""
+    return g * (out > 0.0) if relu else g
+
+
 def _matmul_grad_b(g, out, transpose_b, a, b):
     if b.ndim == 2 and a.ndim > 2:  # shared weight: one product over all rows
         a, g = a.reshape(-1, a.shape[-1]), g.reshape(-1, g.shape[-1])
@@ -197,7 +210,10 @@ OPS = {
     "entropy_rows": _Op(entropy, (
         lambda g, h, aux, w: -g * (np.log(np.clip(w, 1e-300, None)) + 1.0),)),
     "sigmoid": _Op(_stable_sigmoid, (lambda g, y, aux, a: g * y * (1.0 - y),)),
-    "relu": _Op(lambda a: np.maximum(a, 0.0), (lambda g, y, aux, a: g * (a > 0.0),)),
+    "dense": _Op(_dense, (lambda g, out, relu, x, W, b: _dense_g(g, out, relu) @ W.mT,
+                          lambda g, out, relu, x, W, b: _matmul_grad_b(
+                              _dense_g(g, out, relu), out, False, x, W),
+                          lambda g, out, relu, x, W, b: _dense_g(g, out, relu)), "relu"),
     "mean": _Op(lambda a: np.array([[a.mean()]]),
                 (lambda g, y, aux, a: np.full(a.shape, g[0, 0] / a.size),)),
     "scale": _Op(lambda a, factor: factor * a, (lambda g, y, factor, a: factor * g,), "factor"),
@@ -255,8 +271,10 @@ def sigmoid(a: Node) -> Node:
     return _node("sigmoid", a)
 
 
-def relu(a: Node) -> Node:
-    return _node("relu", a)
+def dense(x: Node, W: Node, b: Node, relu: bool = False) -> Node:
+    """``x @ W + b``, then ``max(., 0)`` when ``relu``: one layer as one node,
+    computed in one output array. ``x`` may be a stack under a 2-D ``W``."""
+    return _node("dense", x, W, b, aux=bool(relu))
 
 
 def mean(a: Node) -> Node:

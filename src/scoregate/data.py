@@ -31,6 +31,15 @@ def _rng(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
 
 
+def check_finite(name: str, values: np.ndarray, axes=("row", "column")) -> None:
+    """Raise a ValueError naming ``name`` and the 0-based position of its first
+    NaN or infinite cell, one index per entry of ``axes``."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        where = ", ".join(f"{axis} {i}" for axis, i in zip(axes, np.argwhere(~finite)[0]))
+        raise ValueError(f"{name} holds a non-finite value at {where}")
+
+
 @dataclass(frozen=True)
 class FeatureMeta:
     name: str
@@ -195,8 +204,7 @@ def save_csv(ds: Dataset, path) -> None:
     with path.open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([m.name for m in ds.feature_meta] + ["y"])
-        for i in range(ds.n):
-            writer.writerow([str(v) for v in ds.X[i]] + [str(ds.y[i])])
+        writer.writerows(np.column_stack([ds.X, ds.y]).tolist())
 
 
 def load_csv(path) -> Dataset:

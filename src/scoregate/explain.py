@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import NumericError
+from .data import check_finite
 from .scores import Ranking, ranking_from_values
 
 EXACT_MAX_FEATURES = 15
@@ -68,7 +69,16 @@ def _rows_to_explain(X) -> np.ndarray:
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if X.shape[0] == 0:
         raise ValueError("no rows to explain: X is empty")
+    check_finite("X", X)
     return X
+
+
+def _background(background, d: int) -> np.ndarray:
+    bg = np.asarray(background, dtype=np.float64).reshape(-1)
+    if bg.shape[0] != d:
+        raise ValueError("background length must match feature count")
+    check_finite("background", bg, axes=("column",))
+    return bg
 
 
 def _gather_index(masks: np.ndarray) -> np.ndarray:
@@ -96,9 +106,7 @@ def exact_shapley(predict_fn, X: np.ndarray, background: np.ndarray) -> ShapResu
     n, d = X.shape
     if d > EXACT_MAX_FEATURES:
         raise ValueError(f"exact enumeration is capped at {EXACT_MAX_FEATURES} features, got {d}")
-    bg = np.asarray(background, dtype=np.float64).reshape(-1)
-    if bg.shape[0] != d:
-        raise ValueError("background length must match feature count")
+    bg = _background(background, d)
 
     masks = _coalition_masks(d)
     sizes = masks.sum(axis=1)
@@ -165,9 +173,7 @@ def kernel_shap(predict_fn, X: np.ndarray, background: np.ndarray, n_coalitions:
     """
     X = _rows_to_explain(X)
     n, d = X.shape
-    bg = np.asarray(background, dtype=np.float64).reshape(-1)
-    if bg.shape[0] != d:
-        raise ValueError("background length must match feature count")
+    bg = _background(background, d)
     if n_coalitions < d + 2:
         raise ValueError(f"need at least {d + 2} coalitions for {d} features")
     base_value = float(predict_fn(bg.reshape(1, -1))[0])

@@ -131,9 +131,8 @@ class Model:
         if cfg.backbone == "mlp":
             n_layers = len(cfg.hidden) + 1
             for i in range(n_layers):
-                z = ops.add(ops.matmul(x, params[f"W{i}"]), params[f"b{i}"])
-                x = ops.relu(z) if i < n_layers - 1 else ops.sigmoid(z)
-            return x
+                x = ops.dense(x, params[f"W{i}"], params[f"b{i}"], relu=i < n_layers - 1)
+            return ops.sigmoid(x)
         # single-head self-attention with residual, then a 2-layer feed-forward
         # with residual, over an (n, d, model_dim) stack of one token per
         # feature. The calls are nested so that each (n, d, .) intermediate is
@@ -145,11 +144,11 @@ class Model:
                                                   ops.matmul(tokens, p["wk"]), transpose_b=True),
                                        1.0 / np.sqrt(m))),
             ops.matmul(tokens, p["wv"])))
-        tokens = ops.add(tokens, ops.add(ops.matmul(  # relu(t W1 + b1) W2 + b2
-            ops.relu(ops.add(ops.matmul(tokens, p["fw1"]), p["fb1"])), p["fw2"]), p["fb2"]))
+        tokens = ops.add(tokens, ops.dense(  # relu(t W1 + b1) W2 + b2
+            ops.dense(tokens, p["fw1"], p["fb1"], relu=True), p["fw2"], p["fb2"]))
         # the mean over each sample's d tokens, as a (1, d) row of 1/d
         pooled = ops.reshape(ops.matmul(ops.constant(np.full((1, d), 1.0 / d)), tokens), (-1, m))
-        return ops.sigmoid(ops.add(ops.matmul(pooled, p["head_w"]), p["head_b"]))
+        return ops.sigmoid(ops.dense(pooled, p["head_w"], p["head_b"]))
 
     def loss_graph(self, X: np.ndarray, y: np.ndarray, loss_kind: str) \
             -> tuple[ad.Node, ad.Node, dict[str, ad.Node], DataLeaves]:

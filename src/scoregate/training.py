@@ -16,6 +16,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import bce, mse  # the loss nodes' arithmetic, used as metrics
+from .data import check_finite
 from .models import Model
 
 TASKS = ("classification", "regression")
@@ -159,6 +160,9 @@ def train(model: Model, X: np.ndarray, y: np.ndarray, task: str, config: TrainCo
         raise ValueError("penalty_lam penalizes the gate's entropy; an ungated model has no gate")
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64).reshape(-1)
+    for name, values in (("X", X), ("y", y), ("X_test", X_test), ("y_test", y_test)):
+        if values is not None:
+            check_finite(name, np.asarray(values, dtype=np.float64))
     n = X.shape[0]
 
     loss_kind = "bce" if task == "classification" else "mse"

@@ -151,16 +151,72 @@ def test_entropy_rows_backward_fd_and_closed_form():
     np.testing.assert_allclose(grads[W], -(np.log(W.value) + 1.0) / 3.0, rtol=1e-14)
 
 
-def test_relu_backward_fd_and_zero_subgradient():
+def identity_dense(x: ad.Node) -> ad.Node:
+    """The relu of ``x``, as ``dense`` through a constant identity and zero
+    bias: ``x @ I`` adds only exact zeros to each entry."""
+    k = x.shape[-1]
+    return ad.dense(x, ad.constant(np.eye(k)), ad.constant(np.zeros((1, k))), relu=True)
+
+
+def test_dense_relu_backward_fd_and_zero_subgradient():
     x = RNG.normal(size=(3, 4))
     x[np.abs(x) < 0.05] += 0.1  # keep clear of the kink for the FD check
     X = ad.leaf(x)
-    loss = ad.mean(ad.relu(X))
+    loss = ad.mean(identity_dense(X))
+    assert np.array_equal(identity_dense(X).value, np.maximum(x, 0.0))
     assert rel_err(ad.backward(loss)[X], numeric_grad(loss, X)) < 1e-7
 
     Z = ad.leaf(np.zeros((1, 3)))
-    g = ad.backward(ad.mean(ad.relu(Z)))[Z]
+    g = ad.backward(ad.mean(identity_dense(Z)))[Z]
     assert np.all(g == 0.0)  # subgradient at 0 is taken as 0
+    W, b = ad.leaf(np.eye(3)), ad.leaf(np.zeros((1, 3)))
+    grads = ad.backward(ad.mean(ad.dense(Z, W, b, relu=True)))
+    assert np.all(grads[W] == 0.0) and np.all(grads[b] == 0.0)
+
+
+@pytest.mark.parametrize("relu", [False, True])
+@pytest.mark.parametrize("x_shape, W_shape, b_shape", [
+    ((5, 3), (3, 4), (1, 4)),
+    ((5, 3), (3, 4), (5, 4)),         # a bias per row
+    ((2, 3, 4), (4, 5), (1, 5)),      # a stack under a 2-D W, bias summed over two axes
+    ((2, 3, 4), (2, 4, 5), (3, 5)),   # per-sample weights
+])
+def test_dense_forward_is_matmul_add_relu_bit_for_bit(relu, x_shape, W_shape, b_shape):
+    rng = np.random.default_rng(len(x_shape) + sum(b_shape))
+    x, W, b = (rng.normal(size=shape) for shape in (x_shape, W_shape, b_shape))
+    expect = x @ W + b
+    if relu:
+        expect = np.maximum(expect, 0.0)
+
+    def node(values):  # a 2-D leaf, reshaped to a stack when ``values`` is one
+        flat = ad.leaf(values.reshape(-1, values.shape[-1]))
+        return flat if values.ndim == 2 else ad.reshape(flat, values.shape)
+    for value in (ad.dense(node(x), node(W), node(b), relu=relu).value,
+                  ad.OPS["dense"].forward(x, W, b, relu=relu)):
+        assert value.shape == expect.shape
+        assert np.array_equal(value, expect)
+
+
+@pytest.mark.parametrize("relu", [False, True])
+@pytest.mark.parametrize("stacked", [False, True])
+def test_dense_gradients_pass_grad_check(relu, stacked):
+    # a stacked (n, d, k) x under a 2-D W, with a (1, h) bias summed over
+    # the two leading axes of its gradient
+    rng = np.random.default_rng(40 + 2 * stacked + relu)
+    X = ad.leaf(rng.normal(size=(6, 4)))
+    W = ad.leaf(rng.normal(size=(4, 5)))
+    b = ad.leaf(rng.normal(size=(1, 5)))
+    x = ad.reshape(X, (2, 3, 4)) if stacked else X
+    out = ad.dense(x, W, b, relu=relu)
+    readout = ad.leaf(rng.normal(size=out.shape[-2:]))
+    loss = ad.mean(ad.hadamard(out, readout))
+    pre = x.value @ W.value + b.value
+    assert np.abs(pre).min() > 1e-4  # central differences stay off the kink
+    grads = ad.backward(loss)
+    for leaf_node in (X, W, b):
+        assert grads[leaf_node].shape == leaf_node.shape
+        assert ad.grad_check(loss, leaf_node) < 1e-6
+        assert rel_err(grads[leaf_node], numeric_grad(loss, leaf_node)) < 1e-6
 
 
 def test_scale_mean_backward_fd():
@@ -281,7 +337,9 @@ def random_graph(rng):
         elif pick == 2:
             # central FD only breaks within eps of the relu kink; with this
             # fixed seed no preactivation lands there
-            h = ad.relu(h)
+            k = h.shape[1]
+            h = ad.dense(h, ad.leaf(rng.normal(size=(k, k))), ad.leaf(rng.normal(size=(1, k))),
+                         relu=True)
         elif pick == 3:
             h = ad.scale(h, float(rng.uniform(0.5, 2.0)))
         else:
@@ -440,6 +498,11 @@ def test_shape_error_names_the_op_and_every_operand_shape():
          "add shapes incompatible: (2, 3), (3, 2)"),
         (lambda: ad.reshape(ad.leaf(np.ones((6, 2))), (5, -1)),
          "reshape shapes incompatible: (6, 2); shape=(5, -1)"),
+        (lambda: ad.dense(stack, ad.leaf(np.ones((3, 4))), ad.leaf(np.ones((1, 4))), relu=True),
+         "dense shapes incompatible: (3, 2, 2), (3, 4), (1, 4); relu=True"),
+        (lambda: ad.dense(ad.leaf(np.ones((2, 3))), ad.leaf(np.ones((3, 1))),
+                          ad.leaf(np.ones((1, 4)))),  # the bias may not widen the output
+         "dense shapes incompatible: (2, 3), (3, 1), (1, 4); relu=False"),
     ]
     for build, message in cases:
         with pytest.raises(ad.ShapeError) as info:

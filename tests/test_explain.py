@@ -187,6 +187,19 @@ def test_explainers_reject_an_empty_x(explainer):
         explainer(mlp_predict(4, seed=0), np.ones((0, 4)), np.zeros(4))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("explainer", [exact_shapley, kernel_shap])
+def test_explainers_name_the_first_non_finite_input(explainer, bad):
+    predict = mlp_predict(4, seed=0)
+    X, bg = np.ones((5, 4)), np.zeros(4)
+    X[3, 2] = X[4, 0] = bad
+    with pytest.raises(ValueError, match=r"^X holds a non-finite value at row 3, column 2$"):
+        explainer(predict, X, bg)
+    bg[1] = bad
+    with pytest.raises(ValueError, match=r"^background holds a non-finite value at column 1$"):
+        explainer(predict, np.ones((5, 4)), bg)
+
+
 # --- kernel regression --------------------------------------------------------
 
 

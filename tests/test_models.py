@@ -10,6 +10,7 @@ graph on the new batch.
 
 import json
 import math
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
@@ -183,6 +184,36 @@ def test_mlp_graph_gradients_pass_grad_check():
     loss, _, leaves, _ = model.loss_graph(X, y, "bce")
     for name in leaves:
         assert ad.grad_check(loss, leaves[name]) < 1e-4, name
+
+
+@pytest.mark.parametrize("cfg, nodes, dense", [
+    (ModelConfig(d_in=16, hidden=(16,), gated=True), 13, 2),
+    (ModelConfig(d_in=16, backbone="attention", gated=True), 36, 3),
+], ids=["mlp", "attention"])
+def test_each_layer_and_head_is_one_dense_node(cfg, nodes, dense):
+    X, y = make_batch(np.random.default_rng(0), 32, cfg.d_in, binary=True)
+    loss, _, _, _ = build_model(cfg, seed=0).loss_graph(X, y, "bce")
+    ops = [node.op for node in ad.topo_order(loss)]
+    assert len(ops) == nodes
+    assert ops.count("dense") == dense
+
+
+@pytest.mark.parametrize("n, d", [(2046, 16), (1024, 10)])
+def test_attention_predict_working_set(n, d):
+    # the feed-forward layers compute in place, so predict peaks near two
+    # (n, d, ffn_dim) float64 arrays; separate matmul, add and relu
+    # temporaries took it past 2.5
+    cfg = ModelConfig(d_in=d, backbone="attention", gated=True)
+    model = build_model(cfg, seed=0)
+    X = np.random.default_rng(n).normal(size=(n, d))
+    model.predict(X)
+    tracemalloc.start()
+    try:
+        model.predict(X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.25 * n * d * cfg.ffn_dim * 8
 
 
 # --- serialization ---------------------------------------------------------------

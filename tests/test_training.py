@@ -275,6 +275,25 @@ def test_classification_rejects_a_soft_target_in_any_batch(row):
         train(model, X, y, "classification", TrainConfig(epochs=2, batch_size=4))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("name, cell, message", [
+    ("X", (11, 2), "X holds a non-finite value at row 11, column 2"),
+    ("y", 11, "y holds a non-finite value at row 11"),
+    ("X_test", (3, 2), "X_test holds a non-finite value at row 3, column 2"),
+    ("y_test", 3, "y_test holds a non-finite value at row 3"),
+], ids=["X", "y", "X_test", "y_test"])
+def test_train_names_the_first_non_finite_input(name, cell, message, bad):
+    X, _ = class_data(16, 3, seed=5)
+    data = {"X": X, "y": X[:, 0] + 0.1, "X_test": X[:6].copy(), "y_test": X[:6, 0] + 0.1}
+    data[name][cell] = bad
+    data[name][-1] = bad  # a later bad cell is not the one named
+    model = build_model(ModelConfig(d_in=3, hidden=(2,)), seed=0)
+    with pytest.raises(ValueError) as info:
+        train(model, data["X"], data["y"], "regression", TrainConfig(epochs=1, batch_size=4),
+              X_test=data["X_test"], y_test=data["y_test"])
+    assert str(info.value) == message
+
+
 # --- regression path -----------------------------------------------------------------
 
 
