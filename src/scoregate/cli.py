@@ -23,10 +23,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, data
-from .explain import UndefinedCorrelation, global_importance, kernel_shap, mean_background, \
-    rank_match_table, rank_stability, spearman
+from .explain import UndefinedCorrelation, check_coalitions, global_importance, kernel_shap, \
+    mean_background, rank_match_table, rank_stability, spearman
 from .models import Model, ModelConfig, build_model
-from .scores import Ranking, extract_ranking, ranking_from_values
+from .scores import Ranking, extract_ranking
 from .training import TrainConfig, train
 
 DEFAULT_SEED = 0
@@ -242,17 +242,17 @@ def cmd_shap(args) -> int:
 
 
 def _load_ranking(path) -> Ranking:
-    raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    if "order" not in raw and "ranking" in raw:
-        raw = raw["ranking"]
-    return Ranking.from_dict({"order": raw["order"], "values": raw["values"],
-                              "source": raw["source"]})
+    try:  # a rank payload, or a shap payload's nested ranking
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        return Ranking.from_dict(raw.get("ranking", raw))
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path} holds no valid ranking: {exc}") from None
 
 
 def _spearman_or_none(a: Ranking, b: Ranking) -> float | None:
     try:
         return spearman(a, b)
-    except UndefinedCorrelation:  # an all-tie ranking: reported as null, not a failure
+    except UndefinedCorrelation:  # reported as null, not a failure
         return None
 
 
@@ -263,7 +263,7 @@ def cmd_compare(args) -> int:
         importances = data.read_sidecar(args.sidecar)["ground_truth_importance"]
         if any(v is None for v in importances):
             raise ValueError(f"{args.sidecar} carries no ground-truth importances")
-        gt = ranking_from_values(importances, source="ground-truth")
+        gt = Ranking(importances, source="ground-truth")
         entries.append(("ground-truth", gt))
     else:
         gt = None
@@ -299,9 +299,7 @@ def cmd_stability(args) -> int:
     ds = data.load_csv(args.data)
     # checked here, as they would fail only after the first run had trained
     _check_samples(ds.n, args.samples)
-    if args.coalitions < ds.d + 2:
-        raise ValueError(f"--coalitions must be at least {ds.d + 2} for {ds.d} features, "
-                         f"got {args.coalitions}")
+    check_coalitions(args.coalitions, ds.d)
     run_seeds = [args.base_seed + r for r in range(args.n_runs)]
     background = mean_background(ds.X)
 

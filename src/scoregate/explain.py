@@ -17,7 +17,7 @@ import numpy as np
 
 from .autodiff import NumericError
 from .data import check_finite
-from .scores import Ranking, ranking_from_values
+from .scores import Ranking
 
 EXACT_MAX_FEATURES = 15
 RESIDUAL_ROWS = 16  # rows whose fit residuals share one pass over the kernel design
@@ -158,6 +158,12 @@ def _full_masks(d: int) -> tuple[np.ndarray, np.ndarray]:
     return masks, weights
 
 
+def check_coalitions(n_coalitions: int, d: int) -> None:
+    """Kernel SHAP's floor: the empty and full coalitions plus one per feature."""
+    if n_coalitions < d + 2:
+        raise ValueError(f"need at least {d + 2} coalitions for {d} features, got {n_coalitions}")
+
+
 def kernel_shap(predict_fn, X: np.ndarray, background: np.ndarray, n_coalitions: int = 2048,
                 seed: int = 0) -> ShapResult:
     """Kernel-regression Shapley estimates.
@@ -174,8 +180,7 @@ def kernel_shap(predict_fn, X: np.ndarray, background: np.ndarray, n_coalitions:
     X = _rows_to_explain(X)
     n, d = X.shape
     bg = _background(background, d)
-    if n_coalitions < d + 2:
-        raise ValueError(f"need at least {d + 2} coalitions for {d} features")
+    check_coalitions(n_coalitions, d)
     base_value = float(predict_fn(bg.reshape(1, -1))[0])
 
     if d == 1:
@@ -237,7 +242,7 @@ def kernel_shap(predict_fn, X: np.ndarray, background: np.ndarray, n_coalitions:
 
 def global_importance(result: ShapResult) -> Ranking:
     """Global ranking by descending mean |phi|, ties toward the lower index."""
-    return ranking_from_values(result.global_importance(), source="shap")
+    return Ranking(result.global_importance(), source="shap")
 
 
 def fractional_ranks(values) -> np.ndarray:
@@ -256,7 +261,7 @@ def fractional_ranks(values) -> np.ndarray:
 
 
 class UndefinedCorrelation(ValueError):
-    """One side ranks every item equal, so no rank correlation exists."""
+    """No rank correlation exists: a side is all ties, or both rank under two features."""
 
 
 def spearman_rho(a, b) -> float:
@@ -290,7 +295,7 @@ def spearman(a: Ranking, b: Ranking) -> float:
         if r.source == "ground-truth":
             keep &= np.asarray(r.values) > 0
     if keep.sum() < 2:
-        raise ValueError("fewer than two mutually ranked features")
+        raise UndefinedCorrelation("fewer than two mutually ranked features")
     return spearman_rho(np.asarray(a.values)[keep], np.asarray(b.values)[keep])
 
 
@@ -326,5 +331,4 @@ def rank_stability(rankings: list[Ranking]) -> np.ndarray:
     d = len(rankings[0].values)
     if any(len(r.values) != d for r in rankings):
         raise ValueError("rankings cover different feature counts")
-    ranks = np.array([[r.rank_of(i) for i in range(d)] for r in rankings], dtype=np.float64)
-    return ranks.var(axis=0)
+    return np.argsort([r.order for r in rankings], axis=1).var(axis=0)  # argsort inverts

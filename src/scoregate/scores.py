@@ -5,11 +5,12 @@ and the closed-form gradients of the gated linear map.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .autodiff import NumericError, _stable_softmax_rows
+from .data import check_finite
 
 INIT_STRATEGIES = ("zero", "random-uniform", "from-values")
 RANKING_SOURCES = ("scores", "shap", "ground-truth")
@@ -77,43 +78,38 @@ def analytic_grads(W, s, x) -> tuple[np.ndarray, np.ndarray]:
 class Ranking:
     """Features ordered by descending importance value.
 
-    ``order[k]`` is the 0-based feature index at rank ``k``; ``values[i]`` is
-    the importance of feature ``i``. Ties break toward the lower index.
+    ``values[i]`` is the importance of feature ``i``; ``order[k]`` is the
+    0-based feature index at rank ``k``, derived from the values by a stable
+    descending sort, so ties break toward the lower index.
     """
 
-    order: list[int]
     values: list[float]
     source: str = "scores"
+    order: list[int] = field(init=False)
 
     def __post_init__(self):
         if self.source not in RANKING_SOURCES:
             raise ValueError(f"unknown ranking source {self.source!r}")
-        if sorted(self.order) != list(range(len(self.values))):
-            raise ValueError("order must be a permutation of feature indices")
-
-    def rank_of(self, feature: int) -> int:
-        """0-based rank position of a feature."""
-        return self.order.index(feature)
+        values = np.asarray(self.values, dtype=np.float64)
+        check_finite(f"{self.source} ranking", values, axes=("feature",))
+        self.values = values.tolist()
+        self.order = np.argsort(-values, kind="stable").tolist()
 
     def to_dict(self) -> dict:
         return {"order": list(self.order), "values": list(self.values), "source": self.source}
 
     @classmethod
     def from_dict(cls, d: dict) -> "Ranking":
-        return cls(order=[int(i) for i in d["order"]],
-                   values=[float(v) for v in d["values"]],
-                   source=d["source"])
-
-
-def ranking_from_values(values, source: str) -> Ranking:
-    """Rank features by descending value; equal values keep index order."""
-    values = np.asarray(values, dtype=np.float64).reshape(-1)
-    order = np.argsort(-values, kind="stable")
-    return Ranking(order=[int(i) for i in order],
-                   values=[float(v) for v in values],
-                   source=source)
+        """The ranking a ``to_dict`` payload holds; its order must be its values' order."""
+        if not {"order", "values", "source"} <= d.keys():
+            raise ValueError(f"a ranking needs keys order, values and source, got {sorted(d)}")
+        ranking = cls(d["values"], d["source"])
+        if list(d["order"]) != ranking.order:
+            raise ValueError(f"order {list(d['order'])} is not the stable descending order "
+                             f"of its values, {ranking.order}")
+        return ranking
 
 
 def extract_ranking(scores) -> Ranking:
     """Global feature ranking from the softmax weights of a score vector."""
-    return ranking_from_values(scores_to_weights(scores), source="scores")
+    return Ranking(scores_to_weights(scores), source="scores")

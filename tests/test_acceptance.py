@@ -20,7 +20,7 @@ from scoregate import data
 from scoregate.cli import main
 from scoregate.explain import exact_shapley, kernel_shap, relevant_order, spearman
 from scoregate.models import ModelConfig, build_model
-from scoregate.scores import Ranking, analytic_grads, extract_ranking, ranking_from_values
+from scoregate.scores import Ranking, analytic_grads, extract_ranking
 from scoregate.training import TrainConfig, train
 
 CACHE: dict = {}
@@ -187,7 +187,7 @@ def build_c3() -> dict:
         if seed == 0:  # criterion 9 explains this model; kept beside the payload
             CACHE["c3_seed0_model"] = model
         ranking = extract_ranking(model.scores)
-        gt = ranking_from_values(ds.ground_truth_importances(), "ground-truth")
+        gt = Ranking(ds.ground_truth_importances(), "ground-truth")
         runs.append({
             "seed": seed,
             "top5_one_indexed": one_indexed(ranking.order[:5]),
@@ -421,7 +421,7 @@ def build_c9() -> dict:
 def test_criterion_09_shap_recovers_ranking():
     payload = get("c9", build_c9)
     ranking = Ranking.from_dict(payload["ranking"])
-    gt = ranking_from_values(payload["ground_truth"], "ground-truth")
+    gt = Ranking(payload["ground_truth"], "ground-truth")
     top5 = one_indexed(ranking.order[:5])
     rel = one_indexed(relevant_order(ranking, gt))
     ok = top5 == RELEVANT_ONE_INDEXED and rel == RELEVANT_ONE_INDEXED

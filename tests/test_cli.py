@@ -4,7 +4,9 @@ against the library, and replay must reproduce outputs byte-for-byte.
 """
 
 import argparse
+import ast
 import json
+import re
 import shutil
 import subprocess
 import sys
@@ -13,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import scoregate
 from scoregate import cli, data
 from scoregate.cli import main
 from scoregate.models import Model
@@ -369,6 +372,55 @@ def test_compare_reports_all_tie_ranking_as_null(workdir, tmp_path, capsys):
     assert "n/a" in capsys.readouterr().out
 
 
+def test_compare_reports_a_single_ranked_feature_as_null(tmp_path):
+    # a sidecar ranking one feature leaves fewer than two to correlate with it
+    csv, model = tmp_path / "c4.csv", tmp_path / "m4.json"
+    assert main(["gen", "--dataset", "clf", "--n", "60", "--d", "4", "--informative", "1",
+                 "--seed", "3", "--out", str(csv)]) == 0
+    assert main(["train", "--data", str(csv), "--hidden", "3", "--epochs", "2",
+                 "--batch-size", "0", "--seed", "3", "--out-model", str(model),
+                 "--out-report", str(tmp_path / "r4.json")]) == 0
+    rank_out, shap_out, out = tmp_path / "rank.json", tmp_path / "shap.json", tmp_path / "cmp.json"
+    assert main(["rank", "--model", str(model), "--out", str(rank_out)]) == 0
+    assert main(["shap", "--model", str(model), "--data", str(csv), "--samples", "4",
+                 "--coalitions", "16", "--seed", "3", "--out", str(shap_out)]) == 0
+    assert main(["compare", "--rankings", str(rank_out), str(shap_out),
+                 "--sidecar", str(csv.with_suffix(".sidecar.json")), "--out", str(out)]) == 0
+    payload = read_json(out)
+    m = payload["spearman"]
+    assert m[2] == [None, None, None] and m[0][2] is None and m[1][2] is None
+    assert m[0][0] == m[1][1] == 1.0 and m[0][1] is not None
+    assert payload["top_k"] == 1 and len(payload["rank_match_table"]) == 1
+    assert payload["rank_match_table"][0]["ground_truth"] == 0
+
+
+@pytest.mark.parametrize("bad, reason", [
+    (lambda p: {**p, "order": p["order"][::-1]},
+     r"order \[.*\] is not the stable descending order of its values, \["),
+    (lambda p: {**p, "values": [p["values"][0], float("nan")] + p["values"][2:]},
+     "scores ranking holds a non-finite value at feature 1"),
+    ("report", "a ranking needs keys order, values and source, got"),
+    ("model", "a ranking needs keys order, values and source, got"),
+    (lambda p: p["values"], r"holds no valid ranking: \S"),
+], ids=["reversed-order", "nan-value", "train-report", "model-json", "json-list"])
+def test_compare_rejects_a_bad_ranking_file(bad, reason, workdir, tmp_path, capsys):
+    rank_out = tmp_path / "rank.json"
+    assert main(["rank", "--model", str(workdir["model"]), "--out", str(rank_out)]) == 0
+    if callable(bad):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(bad(read_json(rank_out))), encoding="utf-8")
+    else:
+        path = workdir[bad]
+    out = tmp_path / "cmp.json"
+    capsys.readouterr()
+    assert main(["compare", "--rankings", str(rank_out), str(path),
+                 "--sidecar", str(workdir["sidecar"]), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"{path} holds no valid ranking: " in err
+    assert re.search(reason, err), err
+    assert not out.exists()
+
+
 def test_stability_payload(workdir, tmp_path):
     out = tmp_path / "stab.json"
     assert main(["stability", "--data", str(workdir["csv"]), "--hidden", "3",
@@ -431,7 +483,7 @@ def test_stability_checks_coalitions_before_training(coalitions, workdir, tmp_pa
     # 7 features need the empty, the full and 7 more coalitions
     assert main(["stability", "--data", str(workdir["csv"]), "--coalitions", coalitions,
                  "--out", str(tmp_path / "stab.json")]) == 1
-    assert f"--coalitions must be at least 9 for 7 features, got {coalitions}" \
+    assert f"need at least 9 coalitions for 7 features, got {coalitions}" \
         in capsys.readouterr().err
     assert calls == []
     assert not (tmp_path / "stab.json").exists()
@@ -643,6 +695,19 @@ def test_console_script_smoke(tmp_path):
                            "import sys; from scoregate.cli import main; sys.exit(main(['--version']))"],
                           capture_output=True, text=True)
     assert proc.returncode == 0
+
+
+def test_all_lists_exactly_the_names_the_package_imports():
+    # a stale entry would break `from scoregate import *`
+    init = Path(scoregate.__file__)
+    imported = {alias.asname or alias.name
+                for node in ast.walk(ast.parse(init.read_text("utf-8")))
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    public = sorted(name for name in imported if not name.startswith("_"))
+    assert sorted(scoregate.__all__) == public
+    namespace: dict = {}
+    exec("from scoregate import *", namespace)
+    assert sorted(k for k in namespace if k != "__builtins__") == public
 
 
 def test_only_the_cli_reads_the_clock():

@@ -33,9 +33,10 @@ from scoregate.explain import (
     spearman,
     spearman_rho,
     relevant_order,
+    UndefinedCorrelation,
 )
 from scoregate.models import ModelConfig, build_model
-from scoregate.scores import Ranking, ranking_from_values
+from scoregate.scores import Ranking
 
 
 def permutation_shapley(predict_fn, x, bg):
@@ -261,7 +262,7 @@ def test_kernel_shap_single_feature():
 
 def test_kernel_shap_budget_validation():
     predict = mlp_predict(6, seed=0)
-    with pytest.raises(ValueError, match="at least"):
+    with pytest.raises(ValueError, match=r"^need at least 8 coalitions for 6 features, got 7$"):
         kernel_shap(predict, np.ones((1, 6)), np.zeros(6), n_coalitions=7)
     with pytest.raises(ValueError, match="background"):
         kernel_shap(predict, np.ones((1, 6)), np.zeros(5))
@@ -541,6 +542,15 @@ def test_fractional_ranks():
     np.testing.assert_array_equal(fractional_ranks([3.0, 1.0, 2.0]), [3.0, 1.0, 2.0])
 
 
+@given(st.lists(st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]),
+                          st.floats(allow_nan=False, allow_infinity=False)),
+                min_size=1, max_size=16))
+@settings(max_examples=300, deadline=None)
+def test_fractional_ranks_equal_scipy_average_ranks(values):
+    expect = stats.rankdata(values, method="average")
+    np.testing.assert_array_equal(fractional_ranks(values), expect, strict=True)
+
+
 def test_spearman_rho_validation():
     with pytest.raises(ValueError):
         spearman_rho([1, 2], [1, 2, 3])
@@ -551,35 +561,38 @@ def test_spearman_rho_validation():
 
 
 def test_spearman_restricts_to_ground_truth_support():
-    gt = ranking_from_values([0.2, 0.3, 0.1, 0.0, 0.0], source="ground-truth")
+    gt = Ranking([0.2, 0.3, 0.1, 0.0, 0.0], source="ground-truth")
     # agrees on the three ranked features; the irrelevant tail is scrambled
-    ours = ranking_from_values([0.25, 0.5, 0.05, 0.9, 0.01], source="scores")
+    ours = Ranking([0.25, 0.5, 0.05, 0.9, 0.01], source="scores")
     assert spearman(gt, ours) == pytest.approx(1.0)
     # restricted ranks invert exactly: gt puts f1 > f0 > f2, flipped f2 > f0 > f1
-    flipped = ranking_from_values([0.5, 0.25, 0.9, 0.0, 0.0], source="scores")
+    flipped = Ranking([0.5, 0.25, 0.9, 0.0, 0.0], source="scores")
     assert spearman(gt, flipped) == pytest.approx(-1.0)
     # no restriction between two non-ground-truth rankings
-    a = ranking_from_values([1.0, 2.0, 3.0, 4.0, 5.0], source="scores")
-    b = ranking_from_values([5.0, 4.0, 3.0, 2.0, 1.0], source="shap")
+    a = Ranking([1.0, 2.0, 3.0, 4.0, 5.0], source="scores")
+    b = Ranking([5.0, 4.0, 3.0, 2.0, 1.0], source="shap")
     assert spearman(a, b) == pytest.approx(-1.0)
     with pytest.raises(ValueError):
-        spearman(gt, ranking_from_values([1.0, 2.0], source="scores"))
-    thin = ranking_from_values([1.0, 0.0, 0.0], source="ground-truth")
-    with pytest.raises(ValueError):
-        spearman(thin, ranking_from_values([1.0, 2.0, 3.0], source="scores"))
+        spearman(gt, Ranking([1.0, 2.0], source="scores"))
+    # one feature ranked by both sides: undefined, as for an all-tie side
+    thin = Ranking([1.0, 0.0, 0.0], source="ground-truth")
+    with pytest.raises(UndefinedCorrelation, match="fewer than two mutually ranked features"):
+        spearman(thin, Ranking([1.0, 2.0, 3.0], source="scores"))
+    with pytest.raises(UndefinedCorrelation, match="constant ranks"):
+        spearman(gt, Ranking([1.0, 1.0, 1.0, 2.0, 3.0], source="scores"))
 
 
 def test_relevant_order():
-    gt = ranking_from_values([0.2, 0.3, 0.0, 0.0], source="ground-truth")
-    r = ranking_from_values([0.1, 0.4, 0.9, 0.2], source="scores")
+    gt = Ranking([0.2, 0.3, 0.0, 0.0], source="ground-truth")
+    r = Ranking([0.1, 0.4, 0.9, 0.2], source="scores")
     assert r.order == [2, 1, 3, 0]
     assert relevant_order(r, gt) == [1, 0]
 
 
 def test_rank_match_table():
-    gt = ranking_from_values([0.5, 0.3, 0.2], source="ground-truth")
-    ours = ranking_from_values([0.9, 0.1, 0.45], source="scores")
-    shap = ranking_from_values([0.2, 0.9, 0.1], source="shap")
+    gt = Ranking([0.5, 0.3, 0.2], source="ground-truth")
+    ours = Ranking([0.9, 0.1, 0.45], source="scores")
+    shap = Ranking([0.2, 0.9, 0.1], source="shap")
     table = rank_match_table(ours, shap, gt, top_k=2)
     assert table == [
         {"position": 1, "ground_truth": 0, "ours": 0, "ours_match": True,
@@ -594,13 +607,13 @@ def test_rank_match_table():
 
 
 def test_rank_stability_hand_example():
-    a = Ranking(order=[0, 1, 2, 3], values=[4.0, 3.0, 2.0, 1.0], source="scores")
-    b = Ranking(order=[1, 0, 2, 3], values=[3.0, 4.0, 2.0, 1.0], source="scores")
+    a = Ranking([4.0, 3.0, 2.0, 1.0], source="scores")
+    b = Ranking([3.0, 4.0, 2.0, 1.0], source="scores")
     # features 0 and 1 swap ranks 0 and 1: population variance 0.25 each
     np.testing.assert_allclose(rank_stability([a, b]), [0.25, 0.25, 0.0, 0.0])
     np.testing.assert_array_equal(rank_stability([a, a, a]), 0.0)
     with pytest.raises(ValueError):
         rank_stability([a])
-    short = Ranking(order=[0, 1], values=[2.0, 1.0], source="scores")
+    short = Ranking([2.0, 1.0], source="scores")
     with pytest.raises(ValueError):
         rank_stability([a, short])

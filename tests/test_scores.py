@@ -7,6 +7,7 @@ per-output unit-vector readouts. Softmax values are cross-checked against
 a 50-digit mpmath reference.
 """
 
+import json
 import math
 
 import numpy as np
@@ -17,11 +18,11 @@ from mpmath import mp
 
 import scoregate.autodiff as ad
 from scoregate.scores import (
+    RANKING_SOURCES,
     Ranking,
     analytic_grads,
     extract_ranking,
     init_scores,
-    ranking_from_values,
     scores_to_weights,
 )
 
@@ -304,29 +305,54 @@ def test_entropy_values_and_an_underflowed_weight():
 # --- rankings -------------------------------------------------------------------
 
 
-def test_ranking_from_values_descending_with_stable_ties():
-    r = ranking_from_values([1.0, 2.0, 2.0, 0.5], source="shap")
+def test_ranking_derives_order_descending_with_stable_ties():
+    r = Ranking(np.array([1.0, 2.0, 2.0, 0.5]), source="shap")
     assert r.order == [1, 2, 0, 3]
     assert r.values == [1.0, 2.0, 2.0, 0.5]
-    assert r.rank_of(3) == 3
-    assert r.rank_of(1) == 0
+    assert Ranking([0.0, -0.0, 0.0]).order == [0, 1, 2]  # -0.0 ties with 0.0
+    with pytest.raises(TypeError):
+        Ranking(values=[1.0, 2.0], source="scores", order=[1, 0])  # no order argument
 
 
 def test_ranking_validation():
-    with pytest.raises(ValueError):
-        Ranking(order=[0, 0, 1], values=[1.0, 2.0, 3.0], source="scores")
-    with pytest.raises(ValueError):
-        Ranking(order=[0, 1], values=[1.0, 2.0], source="magic")
-    with pytest.raises(ValueError):
-        Ranking(order=[0, 2], values=[1.0, 2.0], source="scores")
+    with pytest.raises(ValueError, match="unknown ranking source 'magic'"):
+        Ranking([1.0, 2.0], source="magic")
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="shap ranking holds a non-finite value at feature 1"):
+            Ranking([1.0, bad, 3.0], source="shap")
+    good = {"order": [1, 0], "values": [1.0, 2.0], "source": "scores"}
+    with pytest.raises(ValueError, match=r"order \[0, 1\] is not the stable descending order "
+                                         r"of its values, \[1, 0\]"):
+        Ranking.from_dict({**good, "order": [0, 1]})
+    for order in ([0, 0], [1], [1, 0, 2], [0, 2]):
+        with pytest.raises(ValueError, match="is not the stable descending order"):
+            Ranking.from_dict({**good, "order": order})
+    with pytest.raises(ValueError, match="needs keys order, values and source, got"):
+        Ranking.from_dict({"values": [1.0, 2.0], "source": "scores"})
 
 
 def test_ranking_round_trip():
-    r = ranking_from_values([0.1, 0.9, 0.4], source="ground-truth")
-    back = Ranking.from_dict(r.to_dict())
-    assert back.order == r.order
-    assert back.values == r.values
-    assert back.source == r.source
+    r = Ranking([0.1, 0.9, 0.4], source="ground-truth")
+    back = Ranking.from_dict(json.loads(json.dumps(r.to_dict())))
+    assert back == r
+    assert back.order == r.order == [1, 2, 0]
+
+
+# finite values with frequent ties, signed zeros included
+tie_prone_values = st.lists(
+    st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]),
+              st.floats(allow_nan=False, allow_infinity=False)),
+    min_size=1, max_size=12)
+
+
+@given(tie_prone_values, st.sampled_from(RANKING_SOURCES))
+@settings(max_examples=200, deadline=None)
+def test_ranking_order_is_the_stable_descending_argsort(values, source):
+    v = np.array(values)
+    r = Ranking(v, source)
+    assert r.order == np.argsort(-v, kind="stable").tolist()
+    assert Ranking.from_dict(r.to_dict()) == r
+    assert Ranking.from_dict(json.loads(json.dumps(r.to_dict()))) == r
 
 
 def test_extract_ranking_uses_current_weights():
