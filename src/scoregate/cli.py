@@ -267,6 +267,12 @@ def cmd_compare(args) -> int:
         entries.append(("ground-truth", gt))
     else:
         gt = None
+    # the entries end with the sidecar's ground truth, when one is given
+    counts = {path: len(r.values) for path, (_, r) in zip([*args.rankings, args.sidecar], entries)}
+    if len(set(counts.values())) > 1:
+        (path, count), *rest = counts.items()
+        raise ValueError("rankings cover different feature counts: " + ", ".join(
+            [f"{path} has {count} features", *(f"{p} has {n}" for p, n in rest)]))
     labels = [label for label, _ in entries]
     rankings = [r for _, r in entries]
 

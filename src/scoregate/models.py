@@ -1,6 +1,11 @@
 """Model architectures: an MLP or a single-head attention backbone ending in
 one sigmoid unit, with an optional score gate on the input features.
 
+The gate scales the rows of the first layer's weight (``W0``, or ``emb`` for
+attention) by the softmax weights, which equals gating the input. So no
+forward pass builds a gated copy of its (n, d) input, and in the training
+graph the input stays a constant that takes no gradient.
+
 Each backbone's forward pass is written once, in ``Model._forward``, against
 an op namespace: ``loss_graph`` runs it with ``autodiff`` on graph leaves to
 build the training graph, and ``predict`` runs it with ``NUMPY_OPS`` on the
@@ -126,8 +131,10 @@ class Model:
         sigmoid output; ``ops`` is ``autodiff`` on graph nodes or ``NUMPY_OPS``
         on arrays."""
         cfg = self.config
-        if cfg.gated:
-            x = ops.hadamard(x, ops.softmax_rows(params["scores"]))
+        if cfg.gated:  # (x * w) @ W0 = x @ (w[:, None] * W0): gate the weight rows, not x
+            first = "W0" if cfg.backbone == "mlp" else "emb"
+            w = ops.reshape(ops.softmax_rows(params["scores"]), (-1, 1))
+            params = {**params, first: ops.hadamard(params[first], w)}
         if cfg.backbone == "mlp":
             n_layers = len(cfg.hidden) + 1
             for i in range(n_layers):

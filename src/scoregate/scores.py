@@ -1,6 +1,7 @@
 """Learnable feature-scoring layer: a score vector softmax-normalized into
-gating weights that multiply the input elementwise, plus ranking extraction
-and the closed-form gradients of the gated linear map.
+gating weights, plus ranking extraction and the closed-form gradients of the
+gated linear map. A model applies the weights by scaling the rows of its first
+layer's weight, which equals multiplying the input elementwise.
 """
 
 from __future__ import annotations
@@ -55,7 +56,8 @@ def scores_to_weights(s) -> np.ndarray:
 
 
 def analytic_grads(W, s, x) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form partials of the gated hidden layer y = (w * x) @ W.
+    """Closed-form partials of the gated hidden layer
+    y = (w * x) @ W = x @ (w[:, None] * W).
 
     With w = softmax(s), W of shape (d, K) and x of shape (d,):
       dW[i, k]  = d y_k / d W[i, k] = w_i * x_i          (same for every k)

@@ -394,6 +394,34 @@ def test_compare_reports_a_single_ranked_feature_as_null(tmp_path):
     assert payload["rank_match_table"][0]["ground_truth"] == 0
 
 
+def test_compare_names_each_ranking_of_another_feature_count(workdir, tmp_path, capsys):
+    rank_out, rank4 = tmp_path / "rank.json", tmp_path / "rank4.json"
+    assert main(["rank", "--model", str(workdir["model"]), "--out", str(rank_out)]) == 0
+    rank4.write_text(json.dumps({"order": [0, 1, 2, 3], "values": [0.4, 0.3, 0.2, 0.1],
+                                 "source": "shap"}), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["compare", "--rankings", str(rank_out), str(rank4),
+                 "--out", str(tmp_path / "cmp.json")]) == 1
+    assert capsys.readouterr().err.strip() == (
+        f"error: rankings cover different feature counts: {rank_out} has 7 features, "
+        f"{rank4} has 4")
+    assert not (tmp_path / "cmp.json").exists()
+
+
+def test_compare_names_a_sidecar_of_another_feature_count(workdir, tmp_path, capsys):
+    rank_out, csv4 = tmp_path / "rank.json", tmp_path / "c4.csv"
+    assert main(["rank", "--model", str(workdir["model"]), "--out", str(rank_out)]) == 0
+    assert main(["gen", "--dataset", "clf", "--n", "20", "--d", "4", "--informative", "2",
+                 "--seed", "3", "--out", str(csv4)]) == 0
+    sidecar = csv4.with_suffix(".sidecar.json")
+    capsys.readouterr()
+    assert main(["compare", "--rankings", str(rank_out), "--sidecar", str(sidecar),
+                 "--out", str(tmp_path / "cmp.json")]) == 1
+    assert capsys.readouterr().err.strip() == (
+        f"error: rankings cover different feature counts: {rank_out} has 7 features, "
+        f"{sidecar} has 4")
+
+
 @pytest.mark.parametrize("bad, reason", [
     (lambda p: {**p, "order": p["order"][::-1]},
      r"order \[.*\] is not the stable descending order of its values, \["),

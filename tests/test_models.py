@@ -15,7 +15,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import scoregate.autodiff as ad
@@ -25,7 +25,7 @@ from scoregate.models import (
     ModelConfig,
     build_model,
 )
-from scoregate.scores import INIT_STRATEGIES, scores_to_weights
+from scoregate.scores import INIT_STRATEGIES, Ranking, extract_ranking, scores_to_weights
 from scoregate.training import TrainConfig, train
 
 
@@ -187,15 +187,71 @@ def test_mlp_graph_gradients_pass_grad_check():
 
 
 @pytest.mark.parametrize("cfg, nodes, dense", [
-    (ModelConfig(d_in=16, hidden=(16,), gated=True), 13, 2),
-    (ModelConfig(d_in=16, backbone="attention", gated=True), 36, 3),
+    (ModelConfig(d_in=16, hidden=(16,), gated=True), 14, 2),
+    (ModelConfig(d_in=16, backbone="attention", gated=True), 37, 3),
 ], ids=["mlp", "attention"])
 def test_each_layer_and_head_is_one_dense_node(cfg, nodes, dense):
     X, y = make_batch(np.random.default_rng(0), 32, cfg.d_in, binary=True)
     loss, _, _, _ = build_model(cfg, seed=0).loss_graph(X, y, "bce")
     ops = [node.op for node in ad.topo_order(loss)]
-    assert len(ops) == nodes
+    assert len(ops) == nodes  # the gate is softmax_rows, a reshape and one hadamard
     assert ops.count("dense") == dense
+
+
+def _bound_parents(loss, x_leaf):
+    """The parents the compiled tape binds a gradient rule for, as sorted op
+    names, split into those computed from the input ``x_leaf`` and the rest (a
+    parent bound by several consumers counts once per consumer)."""
+    on_x, live = {x_leaf}, set()
+    for node in ad.topo_order(loss):
+        if node.op == "leaf" or any(p in live for p in node.parents):
+            live.add(node)
+        if any(p in on_x for p in node.parents):
+            on_x.add(node)
+    tape = ad._tape(loss)
+    bound = [p for p, _ in tape.root_rules] + [p for _, rules in tape.steps for p, _ in rules]
+    assert not any(p in on_x and p not in live for p in bound)  # x, or a node of x alone
+    return (sorted(p.op for p in bound if p in on_x),
+            sorted(p.op for p in bound if p not in on_x))
+
+
+@pytest.mark.parametrize("backbone", BACKBONES)
+def test_gate_adds_no_gradient_on_the_input_side(backbone):
+    # the gate scales the first layer's weight rows, so the input stays a
+    # constant: beside a vanilla graph's, the gated tape binds rules only on
+    # the gate's own chain of (1, d), (d, 1) and weight-shaped nodes
+    X, y = make_batch(np.random.default_rng(0), 11, 5, binary=True)
+    sides = {}
+    for gated in (False, True):
+        cfg = ModelConfig(d_in=5, backbone=backbone, hidden=(7,), model_dim=6, ffn_dim=8,
+                          gated=gated)
+        loss, _, _, data = build_model(cfg, seed=0).loss_graph(X, y, "bce")
+        sides[gated] = _bound_parents(loss, data.x_leaf)
+    (vanilla_x, vanilla_rest), (gated_x, gated_rest) = sides[False], sides[True]
+    assert gated_x == vanilla_x
+    assert gated_rest == sorted(vanilla_rest + ["hadamard", "leaf", "reshape", "softmax_rows"])
+
+
+@given(st.sampled_from(BACKBONES), st.integers(1, 16), st.integers(1, 2048),
+       st.integers(0, 2 ** 16))
+@example("mlp", 1, 1, 0)
+@example("attention", 16, 2048, 0)
+@settings(max_examples=30, deadline=None)
+def test_gated_predict_is_vanilla_predict_on_gated_inputs(backbone, d, n, seed):
+    cfg = ModelConfig(d_in=d, backbone=backbone, hidden=(16,), gated=True,
+                      score_init="random-uniform")
+    model = build_model(cfg, seed=seed)
+    before = {name: arr.copy() for name, arr in model.params.items()}
+    vanilla = Model(replace(cfg, gated=False),
+                    {name: arr for name, arr in model.params.items() if name != "scores"})
+    X = np.random.default_rng(seed).normal(size=(n, d))
+    np.testing.assert_allclose(model.predict(X), vanilla.predict(X * model.gate_weights()),
+                               rtol=1e-12, atol=0)
+    # the folded weight is a new array: predict edits no parameter, so the
+    # ranking reads the scores it read before
+    for name, arr in before.items():
+        np.testing.assert_array_equal(model.params[name], arr)
+    assert extract_ranking(model.scores) == Ranking(scores_to_weights(before["scores"]))
 
 
 @pytest.mark.parametrize("n, d", [(2046, 16), (1024, 10)])

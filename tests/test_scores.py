@@ -3,10 +3,12 @@
 The gradient of the gated linear map is checked three independent ways:
 a hand-rolled loop oracle written straight from the chain rule, central
 finite differences on a pure-numpy forward, and the autodiff graph with
-per-output unit-vector readouts. Softmax values are cross-checked against
+per-output unit-vector readouts, both as ``(x * w) @ W`` and in the folded
+form ``x @ (w[:, None] * W)`` the models train. Softmax values are cross-checked against
 a 50-digit mpmath reference.
 """
 
+import itertools
 import json
 import math
 
@@ -76,15 +78,19 @@ def fd_s_jacobian(W, s, x, eps=1e-6):
     return out
 
 
-def autodiff_output_grads(W, s, x, k):
-    """Gradients of y_k via the graph: read out one output with a unit vector."""
+def autodiff_output_grads(W, s, x, k, folded=False):
+    """Gradients of y_k via the graph: read out one output with a unit vector.
+    The graph is ``(x * w) @ W``, or with ``folded`` ``x @ (w[:, None] * W)``,
+    the form the model trains."""
     d, K = W.shape
     x_leaf = ad.leaf(x[None, :])
     s_leaf = ad.leaf(s[None, :])
     W_leaf = ad.leaf(W)
     e_k = np.zeros((K, 1))
     e_k[k, 0] = 1.0
-    y = ad.matmul(ad.hadamard(x_leaf, ad.softmax_rows(s_leaf)), W_leaf)
+    w = ad.softmax_rows(s_leaf)
+    y = ad.matmul(x_leaf, ad.hadamard(W_leaf, ad.reshape(w, (-1, 1)))) if folded \
+        else ad.matmul(ad.hadamard(x_leaf, w), W_leaf)
     out = ad.mean(ad.matmul(y, ad.leaf(e_k)))
     grads = ad.backward(out)
     return grads[W_leaf], grads[s_leaf].reshape(-1)
@@ -146,8 +152,8 @@ def test_analytic_grads_match_autodiff_route():
         s = rng.normal(size=d)
         x = rng.normal(size=d)
         d_w, d_s = analytic_grads(W, s, x)
-        for k in range(K):
-            gW, gs = autodiff_output_grads(W, s, x, k)
+        for k, folded in itertools.product(range(K), (False, True)):
+            gW, gs = autodiff_output_grads(W, s, x, k, folded)
             np.testing.assert_allclose(gs, d_s[k], rtol=1e-10, atol=1e-12)
             np.testing.assert_allclose(gW[:, k], d_w[:, k], rtol=1e-10, atol=1e-12)
             other = np.delete(gW, k, axis=1)
