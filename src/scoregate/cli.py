@@ -159,9 +159,7 @@ def cmd_train(args) -> int:
     if args.init == "gt":
         if not args.init_values:
             raise ValueError("--init gt needs --init-values <sidecar.json>")
-        init_values = data.read_sidecar(args.init_values)["ground_truth_importance"]
-        if any(v is None for v in init_values):
-            raise ValueError(f"{args.init_values} carries no ground-truth importances")
+        init_values = data.read_ground_truth(args.init_values)
     init_map = {"zero": "zero", "random": "random-uniform", "gt": "from-values"}
 
     config = ModelConfig(
@@ -198,8 +196,17 @@ def cmd_train(args) -> int:
 # -- rank / shap -----------------------------------------------------------------
 
 
+def _load(path, what: str, from_dict):
+    """``from_dict`` of the JSON in ``path``; a file that holds no valid
+    ``what`` fails with a ValueError naming the file and the reason."""
+    try:
+        return from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path} holds no valid {what}: {exc}") from None
+
+
 def cmd_rank(args) -> int:
-    model = Model.load(args.model)
+    model = _load(args.model, "model", Model.from_dict)
     if model.scores is None:
         raise ValueError("model has no score gate to rank features with; train with --model scores")
     t0 = time.perf_counter()
@@ -216,7 +223,7 @@ def cmd_rank(args) -> int:
 
 
 def cmd_shap(args) -> int:
-    model = Model.load(args.model)
+    model = _load(args.model, "model", Model.from_dict)
     ds = data.load_csv(args.data)
     idx = _sample_rows(ds.n, args.samples, args.seed)
     background = mean_background(ds.X)
@@ -242,11 +249,8 @@ def cmd_shap(args) -> int:
 
 
 def _load_ranking(path) -> Ranking:
-    try:  # a rank payload, or a shap payload's nested ranking
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-        return Ranking.from_dict(raw.get("ranking", raw))
-    except (AttributeError, TypeError, ValueError) as exc:
-        raise ValueError(f"{path} holds no valid ranking: {exc}") from None
+    # a rank payload, or a shap payload's nested ranking
+    return _load(path, "ranking", lambda raw: Ranking.from_dict(raw.get("ranking", raw)))
 
 
 def _spearman_or_none(a: Ranking, b: Ranking) -> float | None:
@@ -260,10 +264,7 @@ def cmd_compare(args) -> int:
     loaded = [_load_ranking(p) for p in args.rankings]
     entries = [(f"{r.source}:{Path(p).name}", r) for p, r in zip(args.rankings, loaded)]
     if args.sidecar:
-        importances = data.read_sidecar(args.sidecar)["ground_truth_importance"]
-        if any(v is None for v in importances):
-            raise ValueError(f"{args.sidecar} carries no ground-truth importances")
-        gt = Ranking(importances, source="ground-truth")
+        gt = Ranking(data.read_ground_truth(args.sidecar), source="ground-truth")
         entries.append(("ground-truth", gt))
     else:
         gt = None

@@ -285,6 +285,28 @@ def read_sidecar(path) -> dict:
     return json.loads(Path(path).read_text(encoding="utf-8"))
 
 
+def read_ground_truth(path) -> list[float]:
+    """A sidecar's ``ground_truth_importance``, one finite number per feature;
+    a ValueError names the file and what is wrong with it otherwise."""
+    try:
+        raw = read_sidecar(path)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path} is not a sidecar: {exc}") from None
+    if not isinstance(raw, dict):
+        raise ValueError(f"{path} is not a sidecar: it holds a JSON {type(raw).__name__}, "
+                         f"not an object")
+    if "ground_truth_importance" not in raw:
+        raise ValueError(f"{path} is not a sidecar: it has no ground_truth_importance key")
+    values = raw["ground_truth_importance"]
+    if isinstance(values, list) and any(v is None for v in values):
+        raise ValueError(f"{path} carries no ground-truth importances")
+    if not isinstance(values, list) or not all(isinstance(v, (int, float)) for v in values):
+        raise ValueError(f"{path}: ground_truth_importance must be a list of numbers")
+    check_finite(f"{path} ground_truth_importance", np.asarray(values, dtype=np.float64),
+                 axes=("feature",))
+    return values
+
+
 def split(ds: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
     """Seeded shuffle-then-split; the train side gets ceil(n * fraction) rows."""
     if not 0.0 < train_fraction < 1.0:

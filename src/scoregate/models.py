@@ -13,6 +13,8 @@ parameter arrays, a plain numpy fast path for inference and Shapley sampling.
 ``NUMPY_OPS`` holds the forwards of ``autodiff.OPS`` themselves, so both routes
 do the same arithmetic and give bit-identical outputs. Training updates the
 ``params`` arrays in place, and the graph's parameter leaves alias them.
+``loss_graph`` builds the whole training loss: a gate-entropy penalty reads
+the same softmax node that gates the first layer.
 """
 
 from __future__ import annotations
@@ -127,19 +129,20 @@ class Model:
         return sum(p.size for p in self.params.values())
 
     def _forward(self, ops, x, params):
-        """The backbone's forward pass from (n, d_in) inputs to the (n, 1)
-        sigmoid output; ``ops`` is ``autodiff`` on graph nodes or ``NUMPY_OPS``
-        on arrays."""
+        """The backbone's forward pass from (n, d_in) inputs: the (n, 1)
+        sigmoid output and the (1, d_in) gate weights (None if ungated);
+        ``ops`` is ``autodiff`` on graph nodes or ``NUMPY_OPS`` on arrays."""
         cfg = self.config
+        gate = None
         if cfg.gated:  # (x * w) @ W0 = x @ (w[:, None] * W0): gate the weight rows, not x
             first = "W0" if cfg.backbone == "mlp" else "emb"
-            w = ops.reshape(ops.softmax_rows(params["scores"]), (-1, 1))
-            params = {**params, first: ops.hadamard(params[first], w)}
+            gate = ops.softmax_rows(params["scores"])
+            params = {**params, first: ops.hadamard(params[first], ops.reshape(gate, (-1, 1)))}
         if cfg.backbone == "mlp":
             n_layers = len(cfg.hidden) + 1
             for i in range(n_layers):
                 x = ops.dense(x, params[f"W{i}"], params[f"b{i}"], relu=i < n_layers - 1)
-            return ops.sigmoid(x)
+            return ops.sigmoid(x), gate
         # single-head self-attention with residual, then a 2-layer feed-forward
         # with residual, over an (n, d, model_dim) stack of one token per
         # feature. The calls are nested so that each (n, d, .) intermediate is
@@ -155,11 +158,15 @@ class Model:
             ops.dense(tokens, p["fw1"], p["fb1"], relu=True), p["fw2"], p["fb2"]))
         # the mean over each sample's d tokens, as a (1, d) row of 1/d
         pooled = ops.reshape(ops.matmul(ops.constant(np.full((1, d), 1.0 / d)), tokens), (-1, m))
-        return ops.sigmoid(ops.dense(pooled, p["head_w"], p["head_b"]))
+        return ops.sigmoid(ops.dense(pooled, p["head_w"], p["head_b"])), gate
 
-    def loss_graph(self, X: np.ndarray, y: np.ndarray, loss_kind: str) \
+    def loss_graph(self, X: np.ndarray, y: np.ndarray, loss_kind: str,
+                   penalty_lam: float = 0.0) \
             -> tuple[ad.Node, ad.Node, dict[str, ad.Node], DataLeaves]:
-        """Build the loss node over a batch.
+        """Build the training loss node over a batch: the ``loss_kind`` loss,
+        plus ``penalty_lam`` times the gate weights' entropy when
+        ``penalty_lam`` is above 0, which needs a gated model (``train``
+        checks that before building the graph).
 
         Returns (loss, prediction node, parameter leaves, data leaves).
         Predictions stay live across ``recompute`` calls (read them from the
@@ -174,15 +181,19 @@ class Model:
         loss_fn = ad.bce_loss if loss_kind == "bce" else ad.mse_loss
         x_leaf, y_leaf = ad.constant(X), ad.constant(y)
         leaves = {name: ad.leaf(arr) for name, arr in self.params.items()}
-        pred = self._forward(ad, x_leaf, leaves)
-        return loss_fn(pred, y_leaf), pred, leaves, DataLeaves(x_leaf, y_leaf)
+        pred, gate = self._forward(ad, x_leaf, leaves)
+        loss = loss_fn(pred, y_leaf)
+        if penalty_lam > 0:
+            loss = ad.add(loss, ad.scale(ad.entropy_rows(gate), penalty_lam))
+        return loss, pred, leaves, DataLeaves(x_leaf, y_leaf)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Batch predictions in (0, 1); pure numpy, no graph construction."""
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.config.d_in:
             raise ad.ShapeError(f"model expects (n, {self.config.d_in}) inputs, got {X.shape}")
-        return self._forward(NUMPY_OPS, X, self.params)[:, 0]
+        pred, _ = self._forward(NUMPY_OPS, X, self.params)
+        return pred[:, 0]
 
     # -- serialization -----------------------------------------------------
 
@@ -196,6 +207,8 @@ class Model:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Model":
+        if not {"config", "parameters", "scores"} <= d.keys():
+            raise ValueError(f"a model needs keys config, parameters and scores, got {sorted(d)}")
         config = ModelConfig.from_dict(d["config"])
         entries = dict(d["parameters"])
         if d["scores"] is not None:

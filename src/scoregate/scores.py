@@ -40,6 +40,7 @@ def init_scores(d: int, strategy: str = "zero", seed: int = 0,
         s = np.asarray(values, dtype=np.float64).reshape(-1).copy()
         if s.shape[0] != d:
             raise ValueError(f"from-values needs length {d}, got {s.shape[0]}")
+        check_finite("score_init_values", s, axes=("feature",))
     return s
 
 

@@ -2,9 +2,10 @@
 
 The batch graph is built once per fit and successive batches are fed in by
 swapping the data-leaf values, so no graph reconstruction happens inside the
-loop. The gate-entropy penalty is a term of that graph's loss, so ``backward``
-gives every gradient Adam applies. Epoch metrics are computed on the full
-training set with the parameters as they stand *before* that epoch's updates.
+loop. ``Model.loss_graph`` builds that graph's whole loss, the gate-entropy
+penalty included, so ``backward`` gives every gradient Adam applies. Epoch
+metrics are computed on the full training set with the parameters as they
+stand *before* that epoch's updates.
 """
 
 from __future__ import annotations
@@ -183,10 +184,8 @@ def train(model: Model, X: np.ndarray, y: np.ndarray, task: str, config: TrainCo
     full_batch = batch == n
     rng = np.random.default_rng(np.random.SeedSequence(config.shuffle_seed))
 
-    loss_node, _, leaves, data_leaves = model.loss_graph(X[:batch], y_fit[:batch], loss_kind)
-    if config.penalty_lam > 0:  # lam * entropy of the gate weights
-        loss_node = ad.add(loss_node, ad.scale(
-            ad.entropy_rows(ad.softmax_rows(leaves["scores"])), config.penalty_lam))
+    loss_node, _, leaves, data_leaves = model.loss_graph(X[:batch], y_fit[:batch], loss_kind,
+                                                         config.penalty_lam)
     adam = adam_init(model.params)  # the graph's parameter leaves alias these arrays
 
     def penalty_value() -> float:

@@ -6,6 +6,7 @@ against the library, and replay must reproduce outputs byte-for-byte.
 import argparse
 import ast
 import json
+import math
 import re
 import shutil
 import subprocess
@@ -321,6 +322,26 @@ def test_shap_rejects_an_empty_explanation(samples, workdir, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("content, reason", [
+    ("[1, 2]", "'list' object has no attribute 'keys'"),
+    ("not json", "Expecting value: line 1 column 1"),
+    ("report", "a model needs keys config, parameters and scores, got ['config', "),
+], ids=["json-list", "not-json", "train-report"])
+@pytest.mark.parametrize("command", ["rank", "shap"])
+def test_rank_and_shap_name_a_bad_model_file(command, content, reason, workdir, tmp_path,
+                                             capsys):
+    if content == "report":
+        path = workdir["report"]
+    else:
+        path = tmp_path / "bad.json"
+        path.write_text(content, encoding="utf-8")
+    out = tmp_path / "out.json"
+    extra = ["--data", str(workdir["csv"]), "--samples", "2"] if command == "shap" else []
+    assert main([command, "--model", str(path), *extra, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {path} holds no valid model: {reason}")
+    assert not out.exists()
+
+
 # --- compare / stability --------------------------------------------------------------
 
 
@@ -446,6 +467,40 @@ def test_compare_rejects_a_bad_ranking_file(bad, reason, workdir, tmp_path, caps
     err = capsys.readouterr().err
     assert f"{path} holds no valid ranking: " in err
     assert re.search(reason, err), err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("sidecar, reason", [
+    (lambda sc: {k: v for k, v in sc.items() if k != "ground_truth_importance"},
+     "is not a sidecar: it has no ground_truth_importance key"),
+    (lambda sc: sc["ground_truth_importance"], "is not a sidecar: it holds a JSON list"),
+    (lambda sc: None, "is not a sidecar: Expecting value: line 1 column 1"),
+    (lambda sc: {**sc, "ground_truth_importance": [None] * 7},
+     "carries no ground-truth importances"),
+    (lambda sc: {**sc, "ground_truth_importance": [0.2, 0.3, math.nan, 0.05, 0.5, 0.0, 0.0]},
+     "ground_truth_importance holds a non-finite value at feature 2"),
+    (lambda sc: {**sc, "ground_truth_importance": [0.2, 0.3, 0.1, 0.05, 0.5, 0.0, -math.inf]},
+     "ground_truth_importance holds a non-finite value at feature 6"),
+], ids=["no-key", "json-list", "not-json", "null", "nan", "inf"])
+@pytest.mark.parametrize("command", ["train", "compare"])
+def test_train_and_compare_name_a_bad_sidecar(command, sidecar, reason, workdir, tmp_path,
+                                              capsys):
+    path = tmp_path / "bad.sidecar.json"
+    content = sidecar(read_json(workdir["sidecar"]))
+    path.write_text("not json" if content is None else json.dumps(content), encoding="utf-8")
+    out = tmp_path / "out.json"
+    if command == "train":
+        argv = ["train", "--data", str(workdir["csv"]), "--hidden", "3", "--epochs", "1",
+                "--init", "gt", "--init-values", str(path), "--out-model", str(out),
+                "--out-report", str(tmp_path / "report.json")]
+    else:
+        rank_out = tmp_path / "rank.json"
+        assert main(["rank", "--model", str(workdir["model"]), "--out", str(rank_out)]) == 0
+        argv = ["compare", "--rankings", str(rank_out), "--sidecar", str(path),
+                "--out", str(out)]
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith(f"error: {path} {reason}")
     assert not out.exists()
 
 

@@ -198,6 +198,24 @@ def test_each_layer_and_head_is_one_dense_node(cfg, nodes, dense):
     assert ops.count("dense") == dense
 
 
+@pytest.mark.parametrize("lam, extra", [(0.0, 0), (0.1, 3)], ids=["lam0", "lam0.1"])
+@pytest.mark.parametrize("cfg, nodes", [
+    (ModelConfig(d_in=16, hidden=(8,), gated=True), 14),
+    (ModelConfig(d_in=16, backbone="attention", hidden=(8,), gated=True), 37),
+], ids=["mlp", "attention"])
+def test_penalty_reads_the_gates_own_softmax_node(cfg, nodes, lam, extra):
+    # the entropy penalty adds entropy_rows, scale and add on the gate's node,
+    # so the scores leaf feeds exactly one softmax_rows node
+    X, y = make_batch(np.random.default_rng(0), 32, cfg.d_in, binary=True)
+    loss, _, leaves, _ = build_model(cfg, seed=0).loss_graph(X, y, "bce", penalty_lam=lam)
+    order = ad.topo_order(loss)
+    assert len(order) == nodes + extra
+    gate, = [node for node in order
+             if node.op == "softmax_rows" and node.parents[0] is leaves["scores"]]
+    entropy = [node.parents for node in order if node.op == "entropy_rows"]
+    assert entropy == ([(gate,)] if lam > 0 else [])
+
+
 def _bound_parents(loss, x_leaf):
     """The parents the compiled tape binds a gradient rule for, as sorted op
     names, split into those computed from the input ``x_leaf`` and the rest (a

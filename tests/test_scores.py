@@ -252,6 +252,12 @@ def test_init_scores_errors():
         init_scores(3, "from-values", values=[1.0, 2.0])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_init_from_values_rejects_a_non_finite_value(bad):
+    with pytest.raises(ValueError, match="score_init_values holds a non-finite value at feature 2"):
+        init_scores(4, "from-values", values=[0.5, 1.0, bad, 0.0])
+
+
 # --- gate-entropy penalty, a graph term ------------------------------------------
 
 
