@@ -160,6 +160,9 @@ def cmd_train(args) -> int:
         if not args.init_values:
             raise ValueError("--init gt needs --init-values <sidecar.json>")
         init_values = data.read_ground_truth(args.init_values)
+        if len(init_values) != ds.d:
+            raise ValueError(f"--init-values covers another feature count: {args.data} has "
+                             f"{ds.d} features, {args.init_values} has {len(init_values)}")
     init_map = {"zero": "zero", "random": "random-uniform", "gt": "from-values"}
 
     config = ModelConfig(
@@ -203,6 +206,12 @@ def _load(path, what: str, from_dict):
         return from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path} holds no valid {what}: {exc}") from None
+
+
+def _json_object(raw) -> dict:
+    if not isinstance(raw, dict):
+        raise TypeError(f"it holds a JSON {type(raw).__name__}, not an object")
+    return raw
 
 
 def cmd_rank(args) -> int:
@@ -350,7 +359,7 @@ def cmd_stability(args) -> int:
 
 
 def cmd_plot(args) -> int:
-    report = json.loads(Path(args.report).read_text(encoding="utf-8"))
+    report = _load(args.report, "report", _json_object)
     trajectory = report.get("scores_trajectory") or []
     if not trajectory:
         raise ValueError(f"{args.report} has no scores trajectory; train a gated model")
@@ -365,7 +374,7 @@ def cmd_plot(args) -> int:
 
 
 def cmd_replay(args) -> int:
-    manifest = json.loads(Path(args.manifest).read_text(encoding="utf-8"))
+    manifest = _load(args.manifest, "manifest", _json_object)
     argv = manifest.get("argv")
     if not argv:
         raise ValueError(f"{args.manifest} has no argv to replay")

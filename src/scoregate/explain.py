@@ -46,16 +46,9 @@ class ShapResult:
         return np.mean(np.abs(self.phi), axis=0)
 
     def to_dict(self) -> dict:
-        return {
-            "phi": [[float(v) for v in row] for row in self.phi],
-            "global_importance": [float(v) for v in self.global_importance()],
-            "base_value": self.base_value,
-            "method": self.method,
-            "n_samples": self.n_samples,
-            "n_coalitions": self.n_coalitions,
-            "design_condition": self.design_condition,
-            "regression_residual": self.regression_residual,
-        }
+        return {**vars(self), "phi": [[float(v) for v in row] for row in self.phi],
+                "global_importance": [float(v) for v in self.global_importance()],
+                "n_samples": self.n_samples}
 
 
 def mean_background(X: np.ndarray) -> np.ndarray:

@@ -174,15 +174,18 @@ class Model:
         same-shaped batches via ``DataLeaves.assign`` — that is how the
         training loop iterates mini-batches over one prebuilt graph.
         """
+        losses = {"bce": ad.bce_loss, "mse": ad.mse_loss}
+        if loss_kind not in losses:
+            raise ValueError(f"unknown loss_kind {loss_kind!r}; expected "
+                             + " or ".join(map(repr, losses)))
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64).reshape(-1, 1)
         if X.shape[1] != self.config.d_in:
             raise ad.ShapeError(f"model expects {self.config.d_in} features, got {X.shape[1]}")
-        loss_fn = ad.bce_loss if loss_kind == "bce" else ad.mse_loss
         x_leaf, y_leaf = ad.constant(X), ad.constant(y)
         leaves = {name: ad.leaf(arr) for name, arr in self.params.items()}
         pred, gate = self._forward(ad, x_leaf, leaves)
-        loss = loss_fn(pred, y_leaf)
+        loss = losses[loss_kind](pred, y_leaf)
         if penalty_lam > 0:
             loss = ad.add(loss, ad.scale(ad.entropy_rows(gate), penalty_lam))
         return loss, pred, leaves, DataLeaves(x_leaf, y_leaf)

@@ -142,13 +142,29 @@ def _batch_starts(n: int, batch: int) -> range:
     return range(0, n - batch + 1, batch)
 
 
+def _prepared(model: Model, x_name: str, X, y_name: str, y) -> tuple[np.ndarray, np.ndarray]:
+    """``X`` and ``y`` as float64 arrays, ``y`` flattened, after the checks each
+    (inputs, targets) pair of ``train`` must pass; each check names the argument."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64).reshape(-1)
+    d = model.config.d_in
+    if X.ndim != 2 or X.shape[1] != d:
+        raise ValueError(f"{x_name} must be a 2-D array with {d} columns, got shape {X.shape}")
+    if len(y) != len(X):
+        raise ValueError(f"{y_name} holds {len(y)} targets for the {len(X)} rows of {x_name}")
+    check_finite(x_name, X)
+    check_finite(y_name, y)
+    return X, y
+
+
 def train(model: Model, X: np.ndarray, y: np.ndarray, task: str, config: TrainConfig,
           X_test: np.ndarray | None = None, y_test: np.ndarray | None = None) -> TrainReport:
     """Fit ``model`` in place with mini-batch Adam; returns the run report.
 
     Classification uses binary cross-entropy on {0,1} targets. Regression
     min-max normalizes targets into the sigmoid range and uses mean squared
-    error; its accuracy column binarizes at the normalized-target median.
+    error; its accuracy column binarizes at the normalized-target median. A
+    held-out pair is checked, scaled and scored as the training pair is.
     Batches are seeded-shuffle slices; a ragged tail smaller than the batch
     size is dropped (coverage rotates with the reshuffle each epoch).
     """
@@ -159,26 +175,33 @@ def train(model: Model, X: np.ndarray, y: np.ndarray, task: str, config: TrainCo
     gated = model.config.gated
     if config.penalty_lam > 0 and not gated:
         raise ValueError("penalty_lam penalizes the gate's entropy; an ungated model has no gate")
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64).reshape(-1)
-    for name, values in (("X", X), ("y", y), ("X_test", X_test), ("y_test", y_test)):
-        if values is not None:
-            check_finite(name, np.asarray(values, dtype=np.float64))
-    n = X.shape[0]
+    # keyed by the targets' argument name: the training pair, then the held-out one if given
+    pairs = {y_name: _prepared(model, x_name, X_, y_name, y_) for x_name, X_, y_name, y_ in
+             (("X", X, "y", y), ("X_test", X_test, "y_test", y_test)) if X_ is not None}
 
-    loss_kind = "bce" if task == "classification" else "mse"
-    loss_ref = bce if loss_kind == "bce" else mse
+    loss_kind, loss_ref = ("bce", bce) if task == "classification" else ("mse", mse)
     report = TrainReport(task=task, config=config)
     if task == "regression":
-        y_fit, report.y_min, report.y_max = normalize_targets(y)
-        span = report.y_max - report.y_min
-        y_test_fit = None if y_test is None else (np.asarray(y_test, dtype=np.float64) - report.y_min) / span
-        acc_threshold = float(np.median(y_fit))
+        _, lo, hi = normalize_targets(pairs["y"][1])  # each pair scaled as it scales y
+        pairs = {name: (X_, (y_ - lo) / (hi - lo)) for name, (X_, y_) in pairs.items()}
+        report.y_min, report.y_max, acc_threshold = lo, hi, float(np.median(pairs["y"][1]))
     else:
-        if not np.all((y == 0.0) | (y == 1.0)):
-            raise ValueError("classification targets must be 0 or 1")
-        y_fit, y_test_fit = y, None if y_test is None else np.asarray(y_test, dtype=np.float64)
+        for name, (_, y_) in pairs.items():
+            soft = np.flatnonzero((y_ != 0.0) & (y_ != 1.0))
+            if soft.size:
+                raise ValueError(f"classification targets must be 0 or 1; {name} holds "
+                                 f"{y_[soft[0]]:g} at row {soft[0]}")
         acc_threshold = 0.5
+    (X, y_fit), *held_out = pairs.values()
+    n = X.shape[0]
+
+    def measure() -> tuple[float, float, float | None]:
+        """Training loss and accuracy, and held-out accuracy (None if no pair)."""
+        preds = model.predict(X)
+        test_accuracy = None
+        for X_held, y_held in held_out:
+            test_accuracy = accuracy(model.predict(X_held), y_held, acc_threshold)
+        return loss_ref(preds, y_fit), accuracy(preds, y_fit, acc_threshold), test_accuracy
 
     batch = n if config.batch_size is None else min(config.batch_size, n)
     full_batch = batch == n
@@ -203,13 +226,8 @@ def train(model: Model, X: np.ndarray, y: np.ndarray, task: str, config: TrainCo
 
     record_scores(0)
     for epoch in range(config.epochs):
-        preds_now = model.predict(X)
-        rec = EpochRecord(epoch=epoch, loss=loss_ref(preds_now, y_fit),
-                          accuracy=accuracy(preds_now, y_fit, acc_threshold),
-                          penalty=penalty_value())
-        if X_test is not None:
-            rec.test_accuracy = accuracy(model.predict(X_test), y_test_fit, acc_threshold)
-        report.curve.append(rec)
+        loss, acc, test_acc = measure()
+        report.curve.append(EpochRecord(epoch, loss, acc, penalty_value(), test_acc))
 
         order = np.arange(n) if full_batch else rng.permutation(n)
         try:
@@ -227,9 +245,5 @@ def train(model: Model, X: np.ndarray, y: np.ndarray, task: str, config: TrainCo
             record_scores(epoch + 1)
 
     record_scores(config.epochs)
-    final_preds = model.predict(X)
-    report.final_train_loss = loss_ref(final_preds, y_fit)
-    report.final_accuracy = accuracy(final_preds, y_fit, acc_threshold)
-    if X_test is not None:
-        report.final_test_accuracy = accuracy(model.predict(X_test), y_test_fit, acc_threshold)
+    report.final_train_loss, report.final_accuracy, report.final_test_accuracy = measure()
     return report

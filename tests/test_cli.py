@@ -504,6 +504,22 @@ def test_train_and_compare_name_a_bad_sidecar(command, sidecar, reason, workdir,
     assert not out.exists()
 
 
+def test_train_names_both_files_when_init_values_has_another_feature_count(workdir, tmp_path,
+                                                                           capsys):
+    f2 = tmp_path / "f2.csv"
+    assert main(["gen", "--dataset", "friedman2", "--n", "20", "--seed", "3",
+                 "--out", str(f2)]) == 0
+    sidecar, out = f2.with_suffix(".sidecar.json"), tmp_path / "m.json"
+    capsys.readouterr()
+    assert main(["train", "--data", str(workdir["csv"]), "--hidden", "3", "--epochs", "1",
+                 "--init", "gt", "--init-values", str(sidecar), "--out-model", str(out),
+                 "--out-report", str(tmp_path / "r.json")]) == 1
+    assert capsys.readouterr().err.strip() == (
+        f"error: --init-values covers another feature count: {workdir['csv']} has 7 features, "
+        f"{sidecar} has 4")
+    assert not out.exists()
+
+
 def test_stability_payload(workdir, tmp_path):
     out = tmp_path / "stab.json"
     assert main(["stability", "--data", str(workdir["csv"]), "--hidden", "3",
@@ -517,6 +533,25 @@ def test_stability_payload(workdir, tmp_path):
         float(np.mean(payload["scores_rank_variance"])))
     for order in payload["scores_orders"] + payload["shap_orders"]:
         assert sorted(order) == list(range(7))
+
+
+def test_each_stability_run_is_the_train_rank_shap_pipeline(workdir, tmp_path):
+    fit = ["--hidden", "3", "--epochs", "20", "--lr", "0.01", "--batch-size", "16"]
+    explain = ["--samples", "6", "--coalitions", "64"]
+    out = tmp_path / "stab.json"
+    assert main(["stability", "--data", str(workdir["csv"]), *fit, *explain,
+                 "--n-runs", "2", "--base-seed", "1", "--out", str(out)]) == 0
+    payload = read_json(out)
+    for i, seed in enumerate(["1", "2"]):
+        model, rank_out, shap_out = (tmp_path / f"{kind}{seed}.json"
+                                     for kind in ("model", "rank", "shap"))
+        assert main(["train", "--data", str(workdir["csv"]), *fit, "--seed", seed,
+                     "--out-model", str(model), "--out-report", str(tmp_path / "r.json")]) == 0
+        assert main(["rank", "--model", str(model), "--out", str(rank_out)]) == 0
+        assert main(["shap", "--model", str(model), "--data", str(workdir["csv"]), *explain,
+                     "--seed", seed, "--out", str(shap_out)]) == 0
+        assert payload["scores_orders"][i] == read_json(rank_out)["order"]
+        assert payload["shap_orders"][i] == read_json(shap_out)["ranking"]["order"]
 
 
 def test_stability_rejects_a_single_run_before_training(tmp_path, monkeypatch, capsys):
@@ -593,6 +628,23 @@ def test_plot_needs_gated_report(workdir, tmp_path):
           "--hidden", "3", "--epochs", "1", "--batch-size", "0", "--seed", "0",
           "--out-model", str(out_m), "--out-report", str(out_r)])
     assert main(["plot", "--report", str(out_r), "--out", str(tmp_path / "t.csv")]) == 1
+
+
+@pytest.mark.parametrize("content, reason", [
+    ("[1, 2]", "it holds a JSON list, not an object"),
+    ("not json", "Expecting value: line 1 column 1"),
+], ids=["json-list", "not-json"])
+@pytest.mark.parametrize("command, flag, what", [
+    ("plot", "--report", "report"),
+    ("replay", "--manifest", "manifest"),
+])
+def test_plot_and_replay_name_a_file_that_holds_no_json_object(command, flag, what, content,
+                                                               reason, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(content, encoding="utf-8")
+    extra = ["--out", str(tmp_path / "t.csv")] if command == "plot" else []
+    assert main([command, flag, str(path), *extra]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {path} holds no valid {what}: {reason}")
 
 
 def test_replay_reproduces_gen_byte_for_byte(tmp_path):

@@ -10,6 +10,7 @@ every subset.
 import itertools
 import json
 import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 import pytest
@@ -502,6 +503,18 @@ def test_shap_payload_schema(n_coalitions):
         assert payload == res.to_dict()
         assert payload["design_condition"] == res.design_condition
         assert payload["regression_residual"] == res.regression_residual
+
+
+def test_shap_result_serializes_each_of_its_fields():
+    @dataclass
+    class Extended(ShapResult):
+        extra: int = 7
+
+    payload = Extended(phi=np.ones((2, 3)), base_value=0.5, method="exact",
+                       n_coalitions=8).to_dict()
+    assert set(payload) == {f.name for f in fields(Extended)} | {"global_importance",
+                                                                 "n_samples"}
+    assert payload["extra"] == 7 and payload["n_samples"] == 2
 
 
 def test_explainers_rerun_to_equal_results():

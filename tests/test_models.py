@@ -467,6 +467,13 @@ def test_build_model_init_scheme():
     assert np.all(a.params["scores"] == 0.0)
 
 
+def test_loss_graph_rejects_an_unknown_loss_kind():
+    model = build_model(ModelConfig(d_in=3, hidden=(2,)), seed=0)
+    with pytest.raises(ValueError) as info:
+        model.loss_graph(np.ones((4, 3)), np.ones(4), "bxe")
+    assert str(info.value) == "unknown loss_kind 'bxe'; expected 'bce' or 'mse'"
+
+
 def test_loss_graph_rejects_wrong_width():
     model = build_model(ModelConfig(d_in=3, hidden=(2,)), seed=0)
     with pytest.raises(ad.ShapeError):

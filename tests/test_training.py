@@ -294,6 +294,52 @@ def test_train_names_the_first_non_finite_input(name, cell, message, bad):
     assert str(info.value) == message
 
 
+def test_a_column_of_held_out_targets_scores_as_a_flat_one():
+    X, y = class_data(40, 3, seed=1)
+    Xt, yt = class_data(10, 3, seed=2)
+    reports = [train(build_model(ModelConfig(d_in=3, hidden=(4,)), seed=0), X, y,
+                     "classification", TrainConfig(epochs=5, lr=0.05, batch_size=None),
+                     X_test=Xt, y_test=targets)
+               for targets in (yt, yt.reshape(-1, 1))]
+    flat, column = reports
+    assert column.final_test_accuracy == flat.final_test_accuracy
+    assert [r.test_accuracy for r in column.curve] == [r.test_accuracy for r in flat.curve]
+
+
+def test_classification_rejects_a_soft_held_out_target():
+    X, y = class_data(16, 3, seed=5)
+    Xt, yt = class_data(6, 3, seed=6)
+    yt[3] = 0.5
+    model = build_model(ModelConfig(d_in=3, hidden=(2,)), seed=0)
+    with pytest.raises(ValueError) as info:
+        train(model, X, y, "classification", TrainConfig(epochs=1), X_test=Xt, y_test=yt)
+    assert str(info.value) == "classification targets must be 0 or 1; y_test holds 0.5 at row 3"
+
+
+@pytest.mark.parametrize("name, bad, message", [
+    ("X", lambda a: a[:, 0], "X must be a 2-D array with 3 columns, got shape (16,)"),
+    ("y", lambda a: a[:-1], "y holds 15 targets for the 16 rows of X"),
+    ("X_test", lambda a: a[:, :2], "X_test must be a 2-D array with 3 columns, got shape (6, 2)"),
+    ("y_test", lambda a: a[:-1], "y_test holds 5 targets for the 6 rows of X_test"),
+], ids=["X-1d", "y-short", "X_test-narrow", "y_test-short"])
+def test_train_rejects_a_misshapen_pair_before_building_the_graph(name, bad, message,
+                                                                  monkeypatch):
+    X, y = class_data(16, 3, seed=5)
+    Xt, yt = class_data(6, 3, seed=6)
+    data = {"X": X, "y": y, "X_test": Xt, "y_test": yt}
+    data[name] = bad(data[name])
+
+    def no_graph(*args, **kwargs):
+        raise AssertionError("loss_graph was called")
+
+    monkeypatch.setattr(Model, "loss_graph", no_graph)
+    with pytest.raises(ValueError) as info:
+        train(build_model(ModelConfig(d_in=3, hidden=(2,)), seed=0), data["X"], data["y"],
+              "classification", TrainConfig(epochs=1), X_test=data["X_test"],
+              y_test=data["y_test"])
+    assert str(info.value) == message
+
+
 # --- regression path -----------------------------------------------------------------
 
 
