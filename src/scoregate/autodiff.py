@@ -23,7 +23,9 @@ without waiting for the cyclic collector. A node's ``parents`` never change
 after construction, so the tape stays valid for the life of the graph however
 its leaf values are edited or rebound. ``backward`` keeps each node's ``grad``
 buffer and zeroes it in place on the next call; the arrays it returns are
-those buffers.
+those buffers. A caller may bind a leaf's ``grad`` to an array of its own, of
+the leaf's shape (``training.train`` binds views of Adam's flat gradient
+vector), and ``backward`` then writes that leaf's gradient there.
 
 Every forward op checks its output for NaN and Inf (``reshape`` only views a
 checked value). Checking only the loss would miss overflow: ``sigmoid(inf)``
@@ -94,7 +96,7 @@ class Node:
 
 
 def _check_finite(op: str, value: np.ndarray) -> np.ndarray:
-    if not np.isfinite(value).all():
+    if not np.logical_and.reduce(np.isfinite(value), None):
         raise NumericError(f"{op} produced a non-finite value")
     return value
 
@@ -115,15 +117,17 @@ def constant(values) -> Node:
 
 
 def _stable_softmax_rows(x: np.ndarray) -> np.ndarray:
-    e = x - x.max(axis=-1, keepdims=True)  # the only new array: exp and divide write into it
+    # the only new array: exp and divide write into it
+    e = x - np.maximum.reduce(x, -1, keepdims=True)
     np.exp(e, out=e)
-    e /= e.sum(axis=-1, keepdims=True)
+    e /= np.add.reduce(e, -1, keepdims=True)
     return e
 
 
 def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
 
 
 def _sum_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -133,7 +137,7 @@ def _sum_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     lead = g.ndim - len(shape)
     axes = tuple(range(lead)) + tuple(
         lead + i for i, size in enumerate(shape) if size == 1 and g.shape[lead + i] != 1)
-    return g.sum(axis=axes).reshape(shape)
+    return np.add.reduce(g, axes).reshape(shape)
 
 
 def _same_shape(p: np.ndarray, t: np.ndarray) -> None:
@@ -141,17 +145,33 @@ def _same_shape(p: np.ndarray, t: np.ndarray) -> None:
         raise ShapeError(f"loss operand shapes differ: {p.shape} vs {t.shape}")
 
 
+# The per-step arithmetic calls the ufuncs and their reductions directly:
+# ``np.clip``, ``np.mean`` and the array reduction methods run the same ufuncs
+# in the same order, behind Python wrappers that cost more than the arithmetic
+# on a training batch.
+
+
+def _mean(a: np.ndarray):
+    """``np.mean(a)`` of a float64 array, over all entries."""
+    return np.add.reduce(a, None) / a.size
+
+
+def _clip_p(p: np.ndarray) -> np.ndarray:
+    """Predictions clipped to [BCE_CLIP, 1 - BCE_CLIP], as ``np.clip`` does."""
+    return np.minimum(np.maximum(p, BCE_CLIP), 1.0 - BCE_CLIP)
+
+
 def bce(p: np.ndarray, t: np.ndarray) -> float:
     """Mean binary cross-entropy, predictions clipped to [BCE_CLIP, 1 - BCE_CLIP]."""
     _same_shape(p, t)
-    pc = np.clip(p, BCE_CLIP, 1.0 - BCE_CLIP)
-    return float(-np.mean(t * np.log(pc) + (1.0 - t) * np.log(1.0 - pc)))
+    pc = _clip_p(p)
+    return float(-_mean(t * np.log(pc) + (1.0 - t) * np.log(1.0 - pc)))
 
 
 def mse(p: np.ndarray, t: np.ndarray) -> float:
     """Mean squared error over all entries."""
     _same_shape(p, t)
-    return float(np.mean((p - t) ** 2))
+    return float(_mean((p - t) ** 2))
 
 
 def entropy(w: np.ndarray) -> np.ndarray:
@@ -179,12 +199,12 @@ def _matmul_grad_b(g, out, transpose_b, a, b):
 
 
 def _bce_grad_p(g, out, aux, p, t):
-    pc = np.clip(p, BCE_CLIP, 1.0 - BCE_CLIP)  # no gradient where the clip is active
+    pc = _clip_p(p)  # no gradient where the clip is active
     return g[0, 0] * (p == pc) * (-t / pc + (1.0 - t) / (1.0 - pc)) / p.size
 
 
 def _bce_grad_t(g, out, aux, p, t):
-    pc = np.clip(p, BCE_CLIP, 1.0 - BCE_CLIP)
+    pc = _clip_p(p)
     return g[0, 0] * (np.log(1.0 - pc) - np.log(pc)) / p.size
 
 
@@ -206,7 +226,7 @@ OPS = {
                                   lambda g, out, aux, a, b: g * a)),
     "reshape": _Op(np.reshape, (lambda g, out, shape, a: g.reshape(a.shape),), "shape"),
     "softmax_rows": _Op(_stable_softmax_rows, (
-        lambda g, w, aux, a: w * (g - (g * w).sum(axis=-1, keepdims=True)),)),
+        lambda g, w, aux, a: w * (g - np.add.reduce(g * w, -1, keepdims=True)),)),
     "entropy_rows": _Op(entropy, (
         lambda g, h, aux, w: -g * (np.log(np.clip(w, 1e-300, None)) + 1.0),)),
     "sigmoid": _Op(_stable_sigmoid, (lambda g, y, aux, a: g * y * (1.0 - y),)),

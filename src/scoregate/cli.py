@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 import time
@@ -358,9 +359,32 @@ def cmd_stability(args) -> int:
 # -- plot / replay -----------------------------------------------------------------
 
 
+def _scores_trajectory(raw) -> list[dict]:
+    """A report's ``scores_trajectory``, every entry checked before any is
+    used: an integer ``epoch`` and a non-empty ``scores`` list of finite
+    numbers as long as the first entry's."""
+    trajectory = _json_object(raw).get("scores_trajectory") or []
+    for i, entry in enumerate(trajectory):
+        where = f"scores_trajectory entry {i}"
+        if not isinstance(entry, dict):
+            raise TypeError(f"{where} is a JSON {type(entry).__name__}, not an object")
+        epoch, scores = entry.get("epoch"), entry.get("scores")
+        if type(epoch) is not int:
+            raise ValueError(f"{where} has epoch {epoch!r}, not an integer")
+        if not isinstance(scores, list) or not scores:
+            raise ValueError(f"{where} has scores {scores!r}, not a non-empty list")
+        bad = [v for v in scores
+               if not (type(v) is int or type(v) is float and math.isfinite(v))]
+        if bad:
+            raise ValueError(f"{where} has a score {bad[0]!r} that is no finite number")
+        if len(scores) != len(trajectory[0]["scores"]):
+            raise ValueError(f"{where} holds {len(scores)} scores, entry 0 "
+                             f"{len(trajectory[0]['scores'])}")
+    return trajectory
+
+
 def cmd_plot(args) -> int:
-    report = _load(args.report, "report", _json_object)
-    trajectory = report.get("scores_trajectory") or []
+    trajectory = _load(args.report, "report", _scores_trajectory)
     if not trajectory:
         raise ValueError(f"{args.report} has no scores trajectory; train a gated model")
     d = len(trajectory[0]["scores"])
@@ -376,8 +400,9 @@ def cmd_plot(args) -> int:
 def cmd_replay(args) -> int:
     manifest = _load(args.manifest, "manifest", _json_object)
     argv = manifest.get("argv")
-    if not argv:
-        raise ValueError(f"{args.manifest} has no argv to replay")
+    if not (isinstance(argv, list) and argv and all(isinstance(a, str) for a in argv)):
+        raise ValueError(f"{args.manifest} has no argv to replay: it must be a non-empty "
+                         f"list of strings, got {argv!r}")
     caller = os.getcwd()
     cwd = manifest.get("cwd", caller)  # manifests from before cwd was recorded
     print(f"replaying in {cwd}: {' '.join(argv)}")

@@ -147,8 +147,8 @@ def _full_masks(d: int) -> tuple[np.ndarray, np.ndarray]:
     sizes = masks.sum(axis=1)
     keep = (sizes > 0) & (sizes < d)
     masks = masks[keep]
-    weights = np.array([shapley_kernel_weight(d, int(k)) for k in sizes[keep]])
-    return masks, weights
+    by_size = np.array([0.0] + [shapley_kernel_weight(d, k) for k in range(1, d)])
+    return masks, by_size[sizes[keep]]
 
 
 def check_coalitions(n_coalitions: int, d: int) -> None:

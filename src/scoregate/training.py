@@ -3,7 +3,8 @@
 The batch graph is built once per fit and successive batches are fed in by
 swapping the data-leaf values, so no graph reconstruction happens inside the
 loop. ``Model.loss_graph`` builds that graph's whole loss, the gate-entropy
-penalty included, so ``backward`` gives every gradient Adam applies. Epoch
+penalty included, so ``backward`` gives every gradient Adam applies, writing
+each into a view of Adam's one flat gradient vector. Epoch
 metrics are computed on the full training set with the parameters as they
 stand *before* that epoch's updates.
 """
@@ -88,7 +89,8 @@ class TrainReport:
 
 
 def accuracy(pred: np.ndarray, target: np.ndarray, threshold: float = 0.5) -> float:
-    return float(np.mean((pred > threshold) == (target > threshold)))
+    hits = (pred > threshold) == (target > threshold)
+    return float(np.add.reduce(hits, None, np.float64) / hits.size)  # np.mean, unwrapped
 
 
 def normalize_targets(y: np.ndarray) -> tuple[np.ndarray, float, float]:
@@ -102,36 +104,56 @@ def normalize_targets(y: np.ndarray) -> tuple[np.ndarray, float, float]:
 # -- Adam --------------------------------------------------------------------
 
 
+def _views(flat: np.ndarray, params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """One view of ``flat`` per parameter, shaped as it, in ``params``' order."""
+    views, start = {}, 0
+    for name, p in params.items():
+        views[name] = flat[start:start + p.size].reshape(p.shape)
+        start += p.size
+    return views
+
+
 def adam_init(params: dict[str, np.ndarray]) -> dict:
-    """Adam state for ``params``: the step count and one flat first- and
-    second-moment vector over all parameters, in ``params``' order."""
+    """Adam state for ``params``: the step count ``t``; flat first- and
+    second-moment vectors ``m`` and ``v`` over all parameters, in ``params``'
+    order; the flat gradient vector ``g`` that ``adam_step`` reads, with
+    ``grads`` holding one view of it per parameter (write each gradient there,
+    or bind a graph leaf's ``grad`` to it so ``backward`` does); and two
+    scratch vectors for the update, with ``steps`` one view of the first per
+    parameter."""
     size = sum(p.size for p in params.values())
-    return {"t": 0, "m": np.zeros(size), "v": np.zeros(size)}
+    g, step = np.zeros(size), np.empty(size)
+    return {"t": 0, "m": np.zeros(size), "v": np.zeros(size), "g": g,
+            "grads": _views(g, params), "step": step, "denom": np.empty(size),
+            "steps": list(_views(step, params).values())}
 
 
-def adam_step(state: dict, params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
-              cfg: TrainConfig) -> None:
-    """One Adam update with bias correction over all parameters at once.
+def adam_step(state: dict, params: dict[str, np.ndarray], cfg: TrainConfig) -> None:
+    """One Adam update with bias correction over all parameters at once, from
+    the gradients in ``state["g"]``.
 
-    ``grads`` holds a gradient for every entry of ``params``. The update is
-    computed on one flat vector and written back into each parameter array
-    in place, element by element the same arithmetic as a per-array update.
+    The update is computed on flat vectors into the state's scratch, in the
+    operation order of the per-array formula, so it is bit for bit that
+    formula; each parameter array is then updated in place.
     """
     state["t"] += 1
     t = state["t"]
-    g = np.concatenate([grads[name].ravel() for name in params])
-    m, v = state["m"], state["v"]
+    g, m, v, step, denom = state["g"], state["m"], state["v"], state["step"], state["denom"]
+    np.multiply(1.0 - BETA1, g, out=step)  # m = beta1 * m + (1 - beta1) * g
     m *= BETA1
-    m += (1.0 - BETA1) * g
+    m += step
+    np.multiply(1.0 - BETA2, g, out=step)  # v = beta2 * v + (1 - beta2) * g * g
+    step *= g
     v *= BETA2
-    v += (1.0 - BETA2) * g * g
-    m_hat = m / (1.0 - BETA1 ** t)
-    v_hat = v / (1.0 - BETA2 ** t)
-    step = cfg.lr * m_hat / (np.sqrt(v_hat) + EPS)
-    start = 0
-    for p in params.values():
-        p -= step[start:start + p.size].reshape(p.shape)
-        start += p.size
+    v += step
+    np.divide(v, 1.0 - BETA2 ** t, out=denom)  # sqrt(v_hat) + eps
+    np.sqrt(denom, out=denom)
+    denom += EPS
+    np.divide(m, 1.0 - BETA1 ** t, out=step)  # lr * m_hat / (sqrt(v_hat) + eps)
+    step *= cfg.lr
+    step /= denom
+    for p, s in zip(params.values(), state["steps"]):
+        p -= s
 
 
 # -- training loop -------------------------------------------------------------
@@ -210,6 +232,8 @@ def train(model: Model, X: np.ndarray, y: np.ndarray, task: str, config: TrainCo
     loss_node, _, leaves, data_leaves = model.loss_graph(X[:batch], y_fit[:batch], loss_kind,
                                                          config.penalty_lam)
     adam = adam_init(model.params)  # the graph's parameter leaves alias these arrays
+    for name, node in leaves.items():  # backward writes each gradient into Adam's vector
+        node.grad = adam["grads"][name]
 
     def penalty_value() -> float:
         if config.penalty_lam == 0:
@@ -235,9 +259,8 @@ def train(model: Model, X: np.ndarray, y: np.ndarray, task: str, config: TrainCo
                 rows = order[start:start + batch]
                 data_leaves.assign(X[rows], y_fit[rows])
                 ad.recompute(loss_node)
-                grads = ad.backward(loss_node)
-                adam_step(adam, model.params, {name: grads[node] for name, node in leaves.items()},
-                          cfg=config)
+                ad.backward(loss_node)
+                adam_step(adam, model.params, config)
         except ad.NumericError as exc:
             raise TrainingError(str(exc), epoch) from exc
 

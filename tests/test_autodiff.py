@@ -12,8 +12,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from scoregate import autodiff as ad
+from scoregate.training import accuracy
 
 RNG = np.random.default_rng(20240817)
 
@@ -564,3 +566,45 @@ def test_grad_check_rejects_bad_eps():
     X = ad.leaf(np.ones((1, 2)))
     with pytest.raises(ValueError):
         ad.grad_check(ad.mean(X), X, eps=0.0)
+
+
+# the per-step arithmetic against numpy's wrapped forms, bit for bit
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+# predictions at, inside and beyond the clip bounds, and exactly 0 and 1
+EDGE_PREDICTIONS = [0.0, 1.0, ad.BCE_CLIP, 1.0 - ad.BCE_CLIP, 5e-13, 1.0 - 5e-13, 1e-300,
+                    -0.25, 1.25, 0.5]
+prediction_target_pairs = st.lists(
+    st.tuples(st.one_of(st.sampled_from(EDGE_PREDICTIONS), st.floats(-2.0, 3.0)),
+              st.sampled_from([0.0, 1.0])), min_size=1, max_size=12)
+
+
+@given(prediction_target_pairs, st.floats(-3.0, 3.0), st.floats(0.0, 1.0))
+@settings(max_examples=200, deadline=None)
+def test_loss_and_accuracy_equal_their_wrapped_numpy_forms(pairs, upstream, threshold):
+    p, t = (np.array(col).reshape(-1, 1) for col in zip(*pairs))
+    pc = np.clip(p, ad.BCE_CLIP, 1.0 - ad.BCE_CLIP)
+    assert same_bits(ad.bce(p, t), float(-np.mean(t * np.log(pc) + (1.0 - t) * np.log(1.0 - pc))))
+    g = np.array([[upstream]])
+    assert same_bits(ad._bce_grad_p(g, None, None, p, t),
+                     g[0, 0] * (p == pc) * (-t / pc + (1.0 - t) / (1.0 - pc)) / p.size)
+    assert same_bits(ad.mse(p, t), float(np.mean((p - t) ** 2)))
+    for pred, target in ((p[:, 0], t[:, 0]), (p[:, 0], p[::-1, 0])):
+        assert same_bits(accuracy(pred, target, threshold),
+                         float(np.mean((pred > threshold) == (target > threshold))))
+
+
+@given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=3, max_side=5),
+                  elements=st.floats(-800.0, 800.0)))
+@settings(max_examples=200, deadline=None)
+def test_sigmoid_and_softmax_equal_their_wrapped_numpy_forms(x):
+    e = np.exp(-np.abs(x))
+    assert same_bits(ad._stable_sigmoid(x), np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e)))
+    e = x - x.max(axis=-1, keepdims=True)
+    e = np.exp(e)
+    assert same_bits(ad._stable_softmax_rows(x), e / e.sum(axis=-1, keepdims=True))

@@ -56,3 +56,28 @@ def test_compare_prints_change_over_parent_ratios(tmp_path, capsys):
 def test_a_run_needs_a_parent_and_an_output():
     with pytest.raises(SystemExit):
         bench_pairs.main(["--pairs", "2"])
+
+
+def test_output_digests_are_compared_per_pair_and_kind(tmp_path, capsys):
+    parent = {"fit": "a1", "rank": "b1", "shap_full": "c1"}
+    same = bench_pairs.digests_match(parent, dict(parent))
+    assert same == {"fit": True, "rank": True, "shap_full": True}
+    # a changed digest, and a kind only one side ran, both read as differing
+    moved = bench_pairs.digests_match(parent, {"fit": "a1", "rank": "b2", "exact": "d1"})
+    assert moved == {"exact": False, "fit": True, "rank": False, "shap_full": False}
+    pairs = [{"workload": "explain", "outputs_identical": same},
+             {"workload": "explain", "outputs_identical": moved},
+             {"workload": "train-attention", "outputs_identical": {"fit": True}}]
+    identical = bench_pairs.outputs_identical(pairs)
+    assert identical == {"explain": {"fit": True, "rank": False, "shap_full": False,
+                                     "exact": False},
+                         "train-attention": {"fit": True}}
+    path = tmp_path / "BENCH_x.json"
+    path.write_text(json.dumps({"summary": {}, "outputs_identical": identical}),
+                    encoding="utf-8")
+    assert bench_pairs.main(["--compare", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"{path} explain rank: OUTPUTS DIFFER",
+        f"{path} explain shap_full: OUTPUTS DIFFER",
+        f"{path} explain exact: OUTPUTS DIFFER",
+    ]

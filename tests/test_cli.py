@@ -630,6 +630,46 @@ def test_plot_needs_gated_report(workdir, tmp_path):
     assert main(["plot", "--report", str(out_r), "--out", str(tmp_path / "t.csv")]) == 1
 
 
+@pytest.mark.parametrize("entry, fault", [
+    ({"epoch": 0}, "scores_trajectory entry 1 has scores None, not a non-empty list"),
+    ({"epoch": 0, "scores": [1.0, "x"]},
+     "scores_trajectory entry 1 has a score 'x' that is no finite number"),
+    ({"epoch": 0, "scores": [1.0, float("nan")]},
+     "scores_trajectory entry 1 has a score nan that is no finite number"),
+    ({"epoch": 0, "scores": [1.0, True]},
+     "scores_trajectory entry 1 has a score True that is no finite number"),
+    ({"epoch": 0, "scores": [1.0]}, "scores_trajectory entry 1 holds 1 scores, entry 0 2"),
+    ({"epoch": 0, "scores": []}, "scores_trajectory entry 1 has scores [], not a non-empty list"),
+    ({"epoch": 1.5, "scores": [1.0, 2.0]},
+     "scores_trajectory entry 1 has epoch 1.5, not an integer"),
+    ({"scores": [1.0, 2.0]}, "scores_trajectory entry 1 has epoch None, not an integer"),
+    ([0, 1.0, 2.0], "scores_trajectory entry 1 is a JSON list, not an object"),
+], ids=["no-scores", "string-score", "nan-score", "bool-score", "short", "empty", "float-epoch",
+        "no-epoch", "list-entry"])
+def test_plot_checks_every_entry_before_writing(entry, fault, tmp_path, capsys):
+    report = tmp_path / "r.json"
+    good = {"epoch": 10, "scores": [0.5, -0.25], "weights": [0.6, 0.4]}
+    # json writes NaN as a bare NaN token, which json.loads reads back
+    report.write_text(json.dumps({"scores_trajectory": [good, entry, good]}), encoding="utf-8")
+    out = tmp_path / "t.csv"
+    assert main(["plot", "--report", str(report), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {report} holds no valid report: {fault}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", ["gen", ["gen", 3], [], None, {"gen": 1}],
+                         ids=["string", "non-string-item", "empty", "null", "object"])
+def test_replay_needs_argv_as_a_non_empty_list_of_strings(argv, tmp_path, capsys, monkeypatch):
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps({"argv": argv, "cwd": str(tmp_path)}), encoding="utf-8")
+    ran = []  # replay re-enters the module's main; the test calls the original
+    monkeypatch.setattr(cli, "main", lambda argv=None: ran.append(argv) or 0)
+    assert main(["replay", "--manifest", str(manifest)]) == 1
+    assert capsys.readouterr().err == (f"error: {manifest} has no argv to replay: it must be a "
+                                       f"non-empty list of strings, got {argv!r}\n")
+    assert ran == []
+
+
 @pytest.mark.parametrize("content, reason", [
     ("[1, 2]", "it holds a JSON list, not an object"),
     ("not json", "Expecting value: line 1 column 1"),

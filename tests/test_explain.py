@@ -453,6 +453,14 @@ def test_regression_residual_reaches_the_last_partial_block():
     assert res.regression_residual == pytest.approx(expect, rel=1e-12)
 
 
+@pytest.mark.parametrize("d", [2, 3, 10, 12])
+def test_full_masks_weigh_each_coalition_by_its_size(d):
+    masks, weights = explain._full_masks(d)
+    assert len(masks) == 2 ** d - 2
+    expect = np.array([shapley_kernel_weight(d, int(k)) for k in masks.sum(axis=1)])
+    assert weights.tobytes() == expect.tobytes()
+
+
 def test_kernel_weight_values():
     # hand-computed for d = 4: (d-1) / (C(d,k) * k * (d-k))
     assert shapley_kernel_weight(4, 1) == pytest.approx(3 / 12)

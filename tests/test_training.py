@@ -2,7 +2,8 @@
 
 Adam is pinned two ways: a constant-gradient closed form (bias correction
 makes m_hat == g and v_hat == g**2, so every step moves by exactly
-lr*g/(|g|+eps)) and an independent reimplementation on random gradients.
+lr*g/(|g|+eps)) and an independent per-array reimplementation on random
+gradients, which the flat-vector update must equal bit for bit.
 The full loop is then compared bit-for-bit against a transparent hand-rolled
 loop using the same primitives, for both the full-batch and the
 shuffled-mini-batch protocols.
@@ -44,15 +45,23 @@ def class_data(n, d, seed):
 # --- adam ---------------------------------------------------------------------
 
 
+def hand_in(state, grads):
+    """Write named gradients into the Adam state's flat vector, where
+    ``adam_step`` reads them."""
+    for name, g in grads.items():
+        state["grads"][name][...] = g
+
+
 def test_adam_constant_gradient_closed_form():
     cfg = TrainConfig(epochs=1, lr=0.01)
     params = {"w": np.array([[1.0, -2.0]]), "b": np.array([[7.5]])}
     grads = {"w": np.array([[3.0, -0.25]]), "b": np.array([[1e-3]])}
     start = {k: v.copy() for k, v in params.items()}
     state = adam_init(params)
+    hand_in(state, grads)  # adam_step reads the gradients and leaves them as they are
     T = 50
     for _ in range(T):
-        adam_step(state, params, grads, cfg)
+        adam_step(state, params, cfg)
     assert state["t"] == T
     for name in params:
         g = grads[name]
@@ -72,15 +81,19 @@ def test_adam_matches_reference_implementation():
     state = adam_init(params)
     for t in range(1, 11):
         grads = {k: rng.normal(size=p.shape) for k, p in params.items()}
-        adam_step(state, params, grads, cfg)
+        hand_in(state, grads)
+        adam_step(state, params, cfg)
         for k, g in grads.items():
             m[k] = beta1 * m[k] + (1 - beta1) * g
             v[k] = beta2 * v[k] + (1 - beta2) * g * g
             m_hat = m[k] / (1 - beta1 ** t)
             v_hat = v[k] / (1 - beta2 ** t)
             mirror[k] -= cfg.lr * m_hat / (np.sqrt(v_hat) + eps)
-    for k in params:
-        np.testing.assert_allclose(params[k], mirror[k], rtol=1e-14, atol=1e-16)
+        for k in params:  # the flat update is the per-array formula, operation for operation
+            np.testing.assert_array_equal(params[k], mirror[k], err_msg=f"{k}, step {t}")
+            np.testing.assert_array_equal(state["grads"][k], grads[k])
+    np.testing.assert_array_equal(state["m"], np.concatenate([m[k].ravel() for k in params]))
+    np.testing.assert_array_equal(state["v"], np.concatenate([v[k].ravel() for k in params]))
 
 
 # --- loop protocol ---------------------------------------------------------------
@@ -108,8 +121,8 @@ def test_full_batch_train_matches_hand_rolled_loop():
     for _ in range(5):
         ad.recompute(loss_node)
         grads = ad.backward(loss_node)
-        named = {name: grads[node] for name, node in leaves.items() if node in grads}
-        adam_step(state, pv, named, cfg)
+        hand_in(state, {name: grads[node] for name, node in leaves.items() if node in grads})
+        adam_step(state, pv, cfg)
 
     for name in trained.params:
         np.testing.assert_array_equal(trained.params[name], mirror.params[name])
@@ -137,8 +150,8 @@ def test_mini_batch_train_matches_hand_rolled_loop():
             dl.assign(X[rows], y[rows])
             ad.recompute(loss_node)
             grads = ad.backward(loss_node)
-            named = {name: grads[node] for name, node in leaves.items() if node in grads}
-            adam_step(state, pv, named, cfg)
+            hand_in(state, {name: grads[node] for name, node in leaves.items() if node in grads})
+            adam_step(state, pv, cfg)
 
     for name in trained.params:
         np.testing.assert_array_equal(trained.params[name], mirror.params[name])
@@ -399,9 +412,9 @@ def test_penalty_gradient_reaches_adam_from_backward_alone(backbone, monkeypatch
     lam = 0.7
     seen = []
 
-    def recording_adam_step(state, params, grads, cfg):
-        seen.append({name: g.copy() for name, g in grads.items()})
-        adam_step(state, params, grads, cfg)
+    def recording_adam_step(state, params, cfg):
+        seen.append({name: g.copy() for name, g in state["grads"].items()})
+        adam_step(state, params, cfg)
 
     monkeypatch.setattr(training, "adam_step", recording_adam_step)
     train(build_model(mcfg, seed=2), X, y, "classification",
@@ -484,6 +497,37 @@ def test_dropped_graphs_need_no_cyclic_collector(backbone):
 def test_config_rejects_bad_optimizer_input(name, value, message):
     with pytest.raises(ValueError, match=message):
         TrainConfig(**{name: value})
+
+
+@pytest.mark.parametrize("backbone", ["mlp", "attention"])
+def test_backward_writes_every_gradient_into_adams_flat_vector(backbone, monkeypatch):
+    X, y = class_data(8, 3, seed=0)
+    model = build_model(ModelConfig(d_in=3, backbone=backbone, hidden=(2,), model_dim=4,
+                                    ffn_dim=4, gated=True), seed=0)
+    graphs, states = [], []
+    loss_graph = Model.loss_graph
+
+    def recording_loss_graph(self, *args, **kwargs):
+        graphs.append(loss_graph(self, *args, **kwargs))
+        return graphs[-1]
+
+    def checking_adam_step(state, params, cfg):
+        _, _, leaves, _ = graphs[-1]
+        flat, offset = state["g"], 0
+        assert list(leaves) == list(params)
+        for name, node in leaves.items():  # one view per leaf, in params order, no gaps
+            assert node.grad is state["grads"][name] and np.shares_memory(node.grad, flat)
+            assert node.grad.ctypes.data == flat.ctypes.data + offset * flat.itemsize
+            offset += node.grad.size
+        assert offset == flat.size
+        states.append(state)
+        adam_step(state, params, cfg)
+
+    monkeypatch.setattr(Model, "loss_graph", recording_loss_graph)
+    monkeypatch.setattr(training, "adam_step", checking_adam_step)
+    train(model, X, y, "classification", TrainConfig(epochs=2, lr=0.01, batch_size=4))
+    assert len(graphs) == 1 and len(states) == 4
+    assert all(state is states[0] for state in states)
 
 
 @pytest.mark.parametrize("backbone", ["mlp", "attention"])

@@ -17,8 +17,12 @@ records the per-layer metrics. The summary gives each side's median and
 quartiles (``statistics.quantiles(n=4, method='inclusive')``), the change's
 median over the parent's, the pairs each side wins (lower reads better unless
 BENCHMARK.json says otherwise) and whether the change is worse than the
-metric's bound. ``--compare`` prints those ratios from BENCH files already
-written, one line per file, workload and metric.
+metric's bound. Each pair also compares the two sides' ``output_sha256`` maps
+(the first output digest per operation kind, timing keys stripped); the BENCH
+file records per workload and kind whether every pair's outputs were
+identical, and any mismatch is printed. ``--compare`` prints those ratios and
+mismatches from BENCH files already written, one line per file, workload and
+metric or kind.
 """
 
 from __future__ import annotations
@@ -64,6 +68,23 @@ def _values(run: dict) -> dict:
             **{name: round(m["value"], 6) for name, m in result["metrics"].items()}}
 
 
+def digests_match(parent: dict, change: dict) -> dict[str, bool]:
+    """Per operation kind in either ``output_sha256`` map, whether the two
+    sides' digests are equal; a kind only one side ran reads False."""
+    return {kind: parent.get(kind) == change.get(kind)
+            for kind in sorted(parent.keys() | change.keys())}
+
+
+def outputs_identical(pairs: list[dict]) -> dict:
+    """Per workload and operation kind, whether every pair's outputs matched."""
+    out: dict[str, dict[str, bool]] = {}
+    for p in pairs:
+        kinds = out.setdefault(p["workload"], {})
+        for kind, same in p["outputs_identical"].items():
+            kinds[kind] = kinds.get(kind, True) and same
+    return out
+
+
 def _stats(values: list[float]) -> dict:
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": round(median, 6), "q1": round(q1, 6), "q3": round(q3, 6),
@@ -105,9 +126,13 @@ def claim_met(summary: dict, workload: str, metric: str) -> bool:
 
 
 def compare(paths: list[str]) -> None:
-    """Print change/parent median ratios from written BENCH files."""
+    """Print change/parent median ratios, and the operation kinds whose
+    outputs differed, from written BENCH files."""
     for path in paths:
         bench = json.loads(Path(path).read_text(encoding="utf-8"))
+        for workload, kinds in bench.get("outputs_identical", {}).items():
+            for kind in (k for k, same in kinds.items() if not same):
+                print(f"{path} {workload} {kind}: OUTPUTS DIFFER")
         for workload, metrics in bench["summary"].items():
             for name, s in metrics.items():
                 flag = "  WORSE THAN BOUND" if s["worse_than_bound"] else ""
@@ -153,10 +178,17 @@ def main(argv=None) -> int:
                 runs = {side: bench_run(trees[side], workload, seed, seconds, 0)
                         for side in order}
                 environment = environment or runs["change"]["info"]["environment"]
+                same = digests_match(*(runs[side]["info"]["output_sha256"]
+                                       for side in ("parent", "change")))
                 pairs.append({"workload": workload, "seed": seed, "first": order[0],
-                              **{side: _values(runs[side]) for side in ("parent", "change")}})
+                              **{side: _values(runs[side]) for side in ("parent", "change")},
+                              "outputs_identical": same})
                 print(f"{workload} seed {seed}: " + " ".join(
                     f"{side} {pairs[-1][side]}" for side in order), file=sys.stderr)
+                differ = [kind for kind, s in same.items() if not s]
+                if differ:
+                    print(f"{workload} seed {seed}: outputs differ for {', '.join(differ)}",
+                          file=sys.stderr)
             for side in ("parent", "change"):
                 traces.append({"workload": workload, "side": side, "seed": args.seed,
                                **_values(bench_run(trees[side], workload, args.seed,
@@ -178,6 +210,7 @@ def main(argv=None) -> int:
         "environment": environment,
         "previous_bench": args.previous,
         "summary": summary,
+        "outputs_identical": outputs_identical(pairs),
         "trace": traces,
         "pairs": pairs,
     }
