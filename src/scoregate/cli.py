@@ -31,19 +31,23 @@ from .scores import Ranking, extract_ranking
 from .training import TrainConfig, train
 
 DEFAULT_SEED = 0
-_ROW_STREAM = 101  # spawn key for choosing which rows a SHAP run explains
 
 
-def _resolve_seed(flag_value: int | None) -> int:
-    if flag_value is not None:
-        return flag_value
-    env = os.environ.get("SCOREGATE_SEED")
-    if not env:
-        return DEFAULT_SEED
-    try:
-        return int(env)
-    except ValueError:
-        raise ValueError(f"SCOREGATE_SEED must be an integer, got {env!r}") from None
+def _resolve_seed(flag: str, flag_value: int | None) -> int:
+    """``flag``'s value, else ``SCOREGATE_SEED``, else the default; a negative
+    seed fails naming where it came from."""
+    source, seed = flag, flag_value
+    if seed is None:
+        source, env = "SCOREGATE_SEED", os.environ.get("SCOREGATE_SEED")
+        if not env:
+            return DEFAULT_SEED
+        try:
+            seed = int(env)
+        except ValueError:
+            raise ValueError(f"SCOREGATE_SEED must be an integer, got {env!r}") from None
+    if seed < 0:
+        raise ValueError(f"{source} must be a non-negative integer, got {seed}")
+    return seed
 
 
 def _write_json(path, obj) -> None:
@@ -90,8 +94,7 @@ def _check_samples(n: int, samples: int) -> None:
 
 def _sample_rows(n: int, samples: int, seed: int) -> np.ndarray:
     _check_samples(n, samples)
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(_ROW_STREAM,)))
-    return np.sort(rng.choice(n, size=samples, replace=False))
+    return np.sort(data.stream(seed, data.SHAP_ROWS).choice(n, size=samples, replace=False))
 
 
 def _reject_unread(args, option: str, reads: dict[str, tuple[str, ...]]) -> None:
@@ -137,8 +140,9 @@ def cmd_gen(args) -> int:
 # -- train ---------------------------------------------------------------------
 
 
-# the architecture flags each backbone reads
+# the architecture flags each backbone reads, and the score-init flags each model kind reads
 _BACKBONE_FLAGS = {"mlp": ("hidden",), "attention": ("model_dim", "ffn_dim")}
+_MODEL_FLAGS = {"vanilla": (), "scores": ("init", "init_values")}
 
 
 def _parse_hidden(text: str) -> tuple[int, ...]:
@@ -153,6 +157,7 @@ def _parse_hidden(text: str) -> tuple[int, ...]:
 
 def cmd_train(args) -> int:
     _reject_unread(args, "backbone", _BACKBONE_FLAGS)
+    _reject_unread(args, "model", _MODEL_FLAGS)
     if args.init_values and args.init != "gt":
         raise ValueError(f"--init-values is read only with --init gt, not --init {args.init}")
     ds = data.load_csv(args.data)
@@ -403,6 +408,8 @@ def cmd_replay(args) -> int:
     if not (isinstance(argv, list) and argv and all(isinstance(a, str) for a in argv)):
         raise ValueError(f"{args.manifest} has no argv to replay: it must be a non-empty "
                          f"list of strings, got {argv!r}")
+    if argv[0] == "replay":  # no command records one; it could only replay itself
+        raise ValueError(f"{args.manifest} records a replay, which replay does not re-run")
     caller = os.getcwd()
     cwd = manifest.get("cwd", caller)  # manifests from before cwd was recorded
     print(f"replaying in {cwd}: {' '.join(argv)}")
@@ -513,7 +520,8 @@ def main(argv=None) -> int:
     try:
         for dest in ("seed", "base_seed"):
             if hasattr(args, dest):
-                setattr(args, dest, _resolve_seed(getattr(args, dest)))
+                setattr(args, dest, _resolve_seed("--" + dest.replace("_", "-"),
+                                                  getattr(args, dest)))
         return args.func(args)
     except Exception as exc:  # runtime failures -> exit 1, message on stderr
         print(f"error: {exc}", file=sys.stderr)

@@ -1,5 +1,7 @@
 """Seeded dataset generators, CSV ingestion, and train/test splitting.
 
+``stream`` is the one place in the package where a seed becomes a
+generator; each purpose names its stream by a tag of the one table below.
 Every generator draws each column from its own PCG64 stream keyed by
 (seed, column), so adding noise columns never perturbs the draws of the
 columns already present. Datasets are immutable once constructed.
@@ -15,19 +17,25 @@ from pathlib import Path
 
 import numpy as np
 
-# Stream tags: keep column draws independent from labels/noise/mixing draws.
+# Stream tags: each purpose a seed serves names its stream by one, so purposes
+# with different tags never read the same draws. Model weights, training batch
+# order and kernel-SHAP coalitions share the root stream, ``stream(seed)``.
 _COL = 0
 _SIGN = 1
-_SHUFFLE = 2
+_SHUFFLE = 2  # a label shuffle and the train/test split
 _MIX = 3
 _TARGET_NOISE = 4
 _DUPLICATE = 5
+SCORE_INIT = 6  # random-uniform score init
+SHAP_ROWS = 101  # the rows a SHAP run explains
 
 SYNTH_COEFFS = np.array([0.2, 0.3, 0.1, 0.05, 0.5])
 SYNTH_THRESHOLD = 7.5
 
 
-def _rng(seed: int, *key: int) -> np.random.Generator:
+def stream(seed: int, *key: int) -> np.random.Generator:
+    """The generator for ``seed`` and the purpose that ``key`` names: a tag
+    above, then any indices; no key gives the root stream."""
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
 
 
@@ -106,8 +114,8 @@ def gen_synthetic(n: int, noise_features: int, seed: int) -> Dataset:
     if n < 1 or noise_features < 0:
         raise ValueError("need n >= 1 and noise_features >= 0")
     d = 5 + noise_features
-    cols = [_rng(seed, _COL, i).uniform(4.0, 10.0, size=n) if i < 5
-            else _rng(seed, _COL, i).uniform(0.0, 1.0, size=n)
+    cols = [stream(seed, _COL, i).uniform(4.0, 10.0, size=n) if i < 5
+            else stream(seed, _COL, i).uniform(0.0, 1.0, size=n)
             for i in range(d)]
     X = np.column_stack(cols)
     _, y = synthetic_targets(X)
@@ -131,10 +139,10 @@ def gen_friedman1(n: int, sigma: float, seed: int) -> Dataset:
     """
     if n < 1 or sigma < 0:
         raise ValueError("need n >= 1 and sigma >= 0")
-    X = np.column_stack([_rng(seed, _COL, i).uniform(0.0, 1.0, size=n) for i in range(10)])
+    X = np.column_stack([stream(seed, _COL, i).uniform(0.0, 1.0, size=n) for i in range(10)])
     y = friedman1_targets(X)
     if sigma > 0:
-        y = y + _rng(seed, _TARGET_NOISE, 0).normal(0.0, sigma, size=n)
+        y = y + stream(seed, _TARGET_NOISE, 0).normal(0.0, sigma, size=n)
     return Dataset(X, y, _meta([1.0] * 5 + [0.0] * 5), "regression")
 
 
@@ -149,11 +157,11 @@ def gen_friedman2(n: int, sigma: float, seed: int) -> Dataset:
     if n < 1 or sigma < 0:
         raise ValueError("need n >= 1 and sigma >= 0")
     ranges = [(0.0, 100.0), (40.0 * np.pi, 560.0 * np.pi), (0.0, 1.0), (1.0, 11.0)]
-    X = np.column_stack([_rng(seed, _COL, i).uniform(lo, hi, size=n)
+    X = np.column_stack([stream(seed, _COL, i).uniform(lo, hi, size=n)
                          for i, (lo, hi) in enumerate(ranges)])
     y = friedman2_targets(X)
     if sigma > 0:
-        y = y + _rng(seed, _TARGET_NOISE, 0).normal(0.0, sigma, size=n)
+        y = y + stream(seed, _TARGET_NOISE, 0).normal(0.0, sigma, size=n)
     return Dataset(X, y, _meta([1.0] * 4), "regression")
 
 
@@ -173,25 +181,25 @@ def gen_classification(n: int, d: int, n_informative: int, n_redundant: int,
 
     y = np.zeros(n)
     y[: n // 2] = 1.0
-    _rng(seed, _SHUFFLE, 0).shuffle(y)
+    stream(seed, _SHUFFLE, 0).shuffle(y)
 
     columns = []
     for j in range(n_informative):
-        sign = 1.0 if _rng(seed, _SIGN, j).random() < 0.5 else -1.0
+        sign = 1.0 if stream(seed, _SIGN, j).random() < 0.5 else -1.0
         centers = np.where(y == 1.0, 0.5 * sign, -0.5 * sign)
-        columns.append(_rng(seed, _COL, j).standard_normal(n) + centers)
+        columns.append(stream(seed, _COL, j).standard_normal(n) + centers)
     informative = np.column_stack(columns)
 
     for j in range(n_redundant):
-        mix = _rng(seed, _MIX, j).uniform(-1.0, 1.0, size=n_informative)
+        mix = stream(seed, _MIX, j).uniform(-1.0, 1.0, size=n_informative)
         columns.append(informative @ mix)
     dup_sources = []
     for j in range(n_duplicate):
-        src = int(_rng(seed, _DUPLICATE, j).integers(0, n_informative))
+        src = int(stream(seed, _DUPLICATE, j).integers(0, n_informative))
         dup_sources.append(src)
         columns.append(informative[:, src].copy())
     for j in range(d - len(columns)):
-        columns.append(_rng(seed, _COL, n_informative + n_redundant + n_duplicate + j).standard_normal(n))
+        columns.append(stream(seed, _COL, n_informative + n_redundant + n_duplicate + j).standard_normal(n))
 
     X = np.column_stack(columns)
     importances = [1.0] * n_informative + [0.0] * (d - n_informative)
@@ -316,7 +324,7 @@ def split(ds: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, Datas
     n_train = math.ceil(ds.n * train_fraction)
     if n_train == 0 or n_train == ds.n:
         raise ValueError(f"degenerate split: {n_train}/{ds.n - n_train} rows")
-    perm = _rng(seed, _SHUFFLE, 0).permutation(ds.n)
+    perm = stream(seed, _SHUFFLE, 0).permutation(ds.n)
     tr, te = perm[:n_train], perm[n_train:]
     train = Dataset(ds.X[tr], ds.y[tr], ds.feature_meta, ds.task)
     test = Dataset(ds.X[te], ds.y[te], ds.feature_meta, ds.task)

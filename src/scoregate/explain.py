@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import NumericError
-from .data import check_finite
+from .data import check_finite, stream
 from .scores import Ranking
 
 EXACT_MAX_FEATURES = 15
@@ -184,8 +184,7 @@ def kernel_shap(predict_fn, X: np.ndarray, background: np.ndarray, n_coalitions:
     if budget >= 2 ** d - 2:
         masks, weights = _full_masks(d)
     else:
-        rng = np.random.default_rng(np.random.SeedSequence(seed))
-        masks = _sample_masks(d, budget, rng)
+        masks = _sample_masks(d, budget, stream(seed))
         weights = np.ones(masks.shape[0])
 
     z = masks.astype(np.float64)
@@ -290,12 +289,6 @@ def spearman(a: Ranking, b: Ranking) -> float:
     if keep.sum() < 2:
         raise UndefinedCorrelation("fewer than two mutually ranked features")
     return spearman_rho(np.asarray(a.values)[keep], np.asarray(b.values)[keep])
-
-
-def relevant_order(r: Ranking, gt: Ranking) -> list[int]:
-    """``r``'s ordering restricted to the features ground truth ranks."""
-    relevant = {i for i, v in enumerate(gt.values) if v > 0}
-    return [i for i in r.order if i in relevant]
 
 
 def rank_match_table(ours: Ranking, shap: Ranking, gt: Ranking, top_k: int) -> list[dict]:

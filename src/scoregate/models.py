@@ -27,6 +27,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import autodiff as ad
+from .data import stream
 from .scores import init_scores, scores_to_weights
 
 BACKBONES = ("mlp", "attention")
@@ -124,9 +125,6 @@ class Model:
 
     def gate_weights(self) -> np.ndarray:
         return scores_to_weights(self.scores)
-
-    def parameter_count(self) -> int:
-        return sum(p.size for p in self.params.values())
 
     def _forward(self, ops, x, params):
         """The backbone's forward pass from (n, d_in) inputs: the (n, 1)
@@ -252,7 +250,7 @@ def _uniform_fan_in(rng: np.random.Generator, fan_in: int, shape) -> np.ndarray:
 def build_model(config: ModelConfig, seed: int) -> Model:
     """Instantiate a model with fan-in-scaled uniform weights, zero biases,
     and scores initialized per ``config.score_init``."""
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    rng = stream(seed)
     params = {name: _uniform_fan_in(rng, fan_in, shape) if fan_in else np.zeros(shape)
               for name, (shape, fan_in) in config.param_specs().items()}
     if config.gated:

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import NumericError, _stable_softmax_rows
-from .data import check_finite
+from .data import SCORE_INIT, check_finite, stream
 
 INIT_STRATEGIES = ("zero", "random-uniform", "from-values")
 RANKING_SOURCES = ("scores", "shap", "ground-truth")
@@ -22,8 +22,9 @@ def init_scores(d: int, strategy: str = "zero", seed: int = 0,
     """Create a scores vector of length ``d``.
 
     ``zero`` starts all scores equal (uniform weights), ``random-uniform``
-    draws i.i.d. from U[-1, 1] under ``seed``, and ``from-values`` copies a
-    supplied vector (e.g. ground-truth coefficients).
+    draws i.i.d. from U[-1, 1] on its own stream of ``seed`` (not the one the
+    weights draw from), and ``from-values`` copies a supplied vector (e.g.
+    ground-truth coefficients).
     """
     if d < 1:
         raise ValueError("d must be >= 1")
@@ -34,8 +35,7 @@ def init_scores(d: int, strategy: str = "zero", seed: int = 0,
     if strategy == "zero":
         s = np.zeros(d)
     elif strategy == "random-uniform":
-        rng = np.random.default_rng(np.random.SeedSequence(seed))
-        s = rng.uniform(-1.0, 1.0, size=d)
+        s = stream(seed, SCORE_INIT).uniform(-1.0, 1.0, size=d)
     else:
         s = np.asarray(values, dtype=np.float64).reshape(-1).copy()
         if s.shape[0] != d:

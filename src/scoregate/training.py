@@ -18,7 +18,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import bce, mse  # the loss nodes' arithmetic, used as metrics
-from .data import check_finite
+from .data import check_finite, stream
 from .models import Model
 
 TASKS = ("classification", "regression")
@@ -227,7 +227,7 @@ def train(model: Model, X: np.ndarray, y: np.ndarray, task: str, config: TrainCo
 
     batch = n if config.batch_size is None else min(config.batch_size, n)
     full_batch = batch == n
-    rng = np.random.default_rng(np.random.SeedSequence(config.shuffle_seed))
+    rng = stream(config.shuffle_seed)
 
     loss_node, _, leaves, data_leaves = model.loss_graph(X[:batch], y_fit[:batch], loss_kind,
                                                          config.penalty_lam)

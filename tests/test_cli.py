@@ -173,9 +173,12 @@ def test_train_usage_failures(workdir, tmp_path):
     (["--backbone", "attention", "--hidden", "9"], "--backbone attention does not take --hidden"),
     (["--model-dim", "5"], "--backbone mlp does not take --model-dim"),
     (["--ffn-dim", "7", "--model-dim", "5"], "--backbone mlp does not take --ffn-dim, --model-dim"),
+    (["--model", "vanilla", "--init", "random"], "--model vanilla does not take --init\n"),
+    (["--model", "vanilla", "--init", "gt", "--init-values", "{sidecar}"],
+     "--model vanilla does not take --init, --init-values"),
 ], ids=["lam-on-vanilla", "init-values-alone", "init-values-with-random",
         "negative-lr", "nan-lr", "inf-lam", "hidden-on-attention", "model-dim-on-mlp",
-        "ffn-dim-on-mlp"])
+        "ffn-dim-on-mlp", "init-on-vanilla", "init-gt-on-vanilla"])
 def test_train_rejects_an_option_it_would_ignore(flags, message, workdir, tmp_path,
                                                  monkeypatch, capsys):
     def no_graph(*args, **kwargs):
@@ -670,6 +673,18 @@ def test_replay_needs_argv_as_a_non_empty_list_of_strings(argv, tmp_path, capsys
     assert ran == []
 
 
+def test_replay_refuses_a_manifest_that_records_a_replay(tmp_path, capsys, monkeypatch):
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps({"argv": ["replay", "--manifest", str(manifest)],
+                                    "cwd": str(tmp_path)}), encoding="utf-8")
+    ran = []  # replay re-enters the module's main; the test calls the original
+    monkeypatch.setattr(cli, "main", lambda argv=None: ran.append(argv) or 0)
+    assert main(["replay", "--manifest", str(manifest)]) == 1
+    assert capsys.readouterr().err == \
+        f"error: {manifest} records a replay, which replay does not re-run\n"
+    assert ran == []
+
+
 @pytest.mark.parametrize("content, reason", [
     ("[1, 2]", "it holds a JSON list, not an object"),
     ("not json", "Expecting value: line 1 column 1"),
@@ -821,6 +836,27 @@ def test_env_seed_must_be_an_integer(tmp_path, monkeypatch, capsys):
     assert main(["gen", "--dataset", "synth", "--n", "20", "--noise", "0",
                  "--out", str(out)]) == 1
     assert "SCOREGATE_SEED must be an integer, got 'abc'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, env, source", [
+    (["gen", "--dataset", "synth", "--seed", "-1", "--out", "{out}"], None, "--seed"),
+    (["stability", "--data", "{missing}", "--base-seed", "-1", "--out", "{out}"], None,
+     "--base-seed"),
+    (["train", "--data", "{missing}", "--out-model", "{out}", "--out-report", "r.json"], "-3",
+     "SCOREGATE_SEED"),
+], ids=["gen-seed", "stability-base-seed", "train-env"])
+def test_a_negative_seed_is_named_before_any_file_is_read(argv, env, source, tmp_path,
+                                                         monkeypatch, capsys):
+    if env is None:
+        monkeypatch.delenv("SCOREGATE_SEED", raising=False)
+    else:
+        monkeypatch.setenv("SCOREGATE_SEED", env)
+    out = tmp_path / "out.json"
+    paths = {"out": out, "missing": tmp_path / "missing.csv"}
+    assert main([a.format(**paths) for a in argv]) == 1
+    value = env or "-1"
+    assert capsys.readouterr().err == f"error: {source} must be a non-negative integer, got {value}\n"
     assert not out.exists()
 
 

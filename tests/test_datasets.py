@@ -5,15 +5,18 @@ loops, and the per-column stream layout is pinned by checking that adding
 noise columns (or target noise) never changes the columns already drawn.
 """
 
+import ast
 import csv
 import io
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scoregate import data
 from scoregate.data import (
     SYNTH_COEFFS,
     Dataset,
@@ -366,3 +369,39 @@ def test_dataset_validation():
         Dataset(np.ones((3, 1)), np.full(3, 0.5), meta, "classification")
     with pytest.raises(ValueError):
         Dataset(np.ones(3), np.ones(3), meta, "regression")
+
+
+# --- seeded streams ----------------------------------------------------------------------
+
+
+def _module_sources() -> dict[str, str]:
+    return {p.name: p.read_text(encoding="utf-8")
+            for p in Path(data.__file__).parent.glob("*.py")}
+
+
+def test_only_data_turns_a_seed_into_a_generator():
+    # every other module names its stream by a tag and calls data.stream
+    constructors = {"SeedSequence", "default_rng"}
+    calls = {name: sorted({node.func.attr for node in ast.walk(ast.parse(source))
+                           if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                           and node.func.attr in constructors})
+             for name, source in _module_sources().items()}
+    assert {name: found for name, found in calls.items() if found} == \
+        {"data.py": ["SeedSequence", "default_rng"]}
+
+
+def test_stream_tags_are_distinct():
+    # the tag table: data.py's module-level integer constants
+    tags = {node.targets[0].id: node.value.value
+            for node in ast.parse(_module_sources()["data.py"]).body
+            if isinstance(node, ast.Assign) and isinstance(node.value, ast.Constant)
+            and type(node.value.value) is int}
+    assert {"_COL", "_SHUFFLE", "SCORE_INIT", "SHAP_ROWS"} <= tags.keys()
+    assert len(set(tags.values())) == len(tags), tags
+
+
+def test_stream_without_a_tag_is_the_root_stream():
+    # model weights, batch order and SHAP coalitions read it; pinning it keeps their bits
+    np.testing.assert_array_equal(data.stream(9).random(4),
+                                  np.random.default_rng(np.random.SeedSequence(9)).random(4))
+    assert data.stream(9, data.SCORE_INIT).random() != data.stream(9).random()

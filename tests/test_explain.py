@@ -33,7 +33,6 @@ from scoregate.explain import (
     shapley_kernel_weight,
     spearman,
     spearman_rho,
-    relevant_order,
     UndefinedCorrelation,
 )
 from scoregate.models import ModelConfig, build_model
@@ -601,13 +600,6 @@ def test_spearman_restricts_to_ground_truth_support():
         spearman(thin, Ranking([1.0, 2.0, 3.0], source="scores"))
     with pytest.raises(UndefinedCorrelation, match="constant ranks"):
         spearman(gt, Ranking([1.0, 1.0, 1.0, 2.0, 3.0], source="scores"))
-
-
-def test_relevant_order():
-    gt = Ranking([0.2, 0.3, 0.0, 0.0], source="ground-truth")
-    r = Ranking([0.1, 0.4, 0.9, 0.2], source="scores")
-    assert r.order == [2, 1, 3, 0]
-    assert relevant_order(r, gt) == [1, 0]
 
 
 def test_rank_match_table():

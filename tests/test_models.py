@@ -25,7 +25,8 @@ from scoregate.models import (
     ModelConfig,
     build_model,
 )
-from scoregate.scores import INIT_STRATEGIES, Ranking, extract_ranking, scores_to_weights
+from scoregate.scores import INIT_STRATEGIES, Ranking, extract_ranking, init_scores, \
+    scores_to_weights
 from scoregate.training import TrainConfig, train
 
 
@@ -445,13 +446,6 @@ def test_config_validation():
         ModelConfig(d_in=3, backbone="attention", ffn_dim=0)
 
 
-def test_parameter_count():
-    model = build_model(ModelConfig(d_in=3, hidden=(2,)), seed=0)
-    assert model.parameter_count() == 3 * 2 + 2 + 2 * 1 + 1
-    gated = build_model(ModelConfig(d_in=3, hidden=(2,), gated=True), seed=0)
-    assert gated.parameter_count() == 11 + 3
-
-
 def test_build_model_init_scheme():
     cfg = ModelConfig(d_in=100, hidden=(50,), gated=True)
     a = build_model(cfg, seed=12)
@@ -465,6 +459,23 @@ def test_build_model_init_scheme():
     assert np.all(np.abs(a.params["W1"]) <= 1.0 / np.sqrt(50))
     assert np.all(a.params["b0"] == 0.0) and np.all(a.params["b1"] == 0.0)
     assert np.all(a.params["scores"] == 0.0)
+
+
+@pytest.mark.parametrize("backbone", BACKBONES)
+def test_random_score_init_is_not_a_copy_of_the_first_layer(backbone):
+    # the scores draw from their own stream: had they shared the weights' root
+    # stream, they would be the first layer's first d draws rescaled by its
+    # fan-in bound, sqrt(d) for an MLP
+    d = 5
+    cfg = ModelConfig(d_in=d, backbone=backbone, hidden=(8,), gated=True,
+                      score_init="random-uniform")
+    model = build_model(cfg, seed=3)
+    first = "W0" if backbone == "mlp" else "emb"
+    _, fan_in = cfg.param_specs()[first]
+    copy = math.sqrt(fan_in) * model.params[first].ravel()[:d]
+    assert not np.allclose(model.scores, copy, rtol=0.0, atol=1e-6)
+    np.testing.assert_array_equal(model.scores,
+                                  init_scores(d, "random-uniform", seed=3))
 
 
 def test_loss_graph_rejects_an_unknown_loss_kind():
