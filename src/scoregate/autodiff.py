@@ -1,7 +1,9 @@
 """Reverse-mode automatic differentiation over dense float64 arrays.
 
-Each op is defined once, in ``OPS``: its plain-array forward and one gradient
-rule per parent. Graphs are built define-by-run: constructing a node runs its
+Each op is defined once, in ``OPS``: its plain-array forward, one gradient
+rule per parent and, optionally, a ``g_in`` that ``backward`` computes once
+per node for all of its rules (``dense`` masks relu's gradient there, not in
+each rule). Graphs are built define-by-run: constructing a node runs its
 forward at once. ``recompute`` re-runs the forward pass from the current leaf
 values, ``backward`` applies the gradient rules from a scalar loss down to its
 trainable leaves, and ``grad_check`` checks them against central finite
@@ -21,11 +23,19 @@ tape leaves out the root itself, so it holds no reference back to the node
 that holds it, and a dropped graph is freed by reference counting alone,
 without waiting for the cyclic collector. A node's ``parents`` never change
 after construction, so the tape stays valid for the life of the graph however
-its leaf values are edited or rebound. ``backward`` keeps each node's ``grad``
-buffer and zeroes it in place on the next call; the arrays it returns are
-those buffers. A caller may bind a leaf's ``grad`` to an array of its own, of
-the leaf's shape (``training.train`` binds views of Adam's flat gradient
-vector), and ``backward`` then writes that leaf's gradient there.
+its leaf values are edited or rebound.
+
+The tape also records, for each (parent, rule) pair, whether it is the
+parent's first gradient contribution or a later one, so ``backward`` zeroes
+nothing: an interior node's first contribution becomes its ``grad`` as it is
+(a rule's output, or a view of another node's gradient) and each later one
+makes a new sum, never written in place. Only the trainable leaves and the
+root keep a ``grad`` buffer from call to call: a leaf's first contribution is
+added to 0.0 into it and later ones in place, so its gradient, signed zeros
+included, is bit for bit the zero-filled sum; the arrays ``backward`` returns
+are those buffers. A caller may bind a leaf's ``grad`` to an array of its
+own, of the leaf's shape (``training.train`` binds views of Adam's flat
+gradient vector), and ``backward`` then writes that leaf's gradient there.
 
 Every forward op checks its output for NaN and Inf (``reshape`` only views a
 checked value). Checking only the loss would miss overflow: ``sigmoid(inf)``
@@ -72,9 +82,12 @@ class Node:
     """One step of the computation: an op kind, parent nodes, and a value.
 
     ``grad`` is populated by ``backward`` and has the same shape as ``value``;
-    it stays ``None`` on nodes that depend on no trainable leaf. ``aux``
-    carries the op's constant argument (``aux_name`` in ``OPS``). ``tape``
-    caches the compiled graph under this node once it has been used as a root.
+    it stays ``None`` on nodes that depend on no trainable leaf. On a
+    trainable leaf or a root it is a buffer kept across calls; on any other
+    node it is the last call's gradient, which may be shared with another
+    node, so only read it. ``aux`` carries the op's constant argument
+    (``aux_name`` in ``OPS``). ``tape`` caches the compiled graph under this
+    node once it has been used as a root.
     """
 
     __slots__ = ("op", "parents", "value", "grad", "aux", "tape")
@@ -177,7 +190,7 @@ def mse(p: np.ndarray, t: np.ndarray) -> float:
 def entropy(w: np.ndarray) -> np.ndarray:
     """Entropy -sum(w ln w) of each row of weights as an (..., 1) column; the
     log's argument is clipped at 1e-300, so a weight that underflowed adds 0."""
-    return -(w * np.log(np.clip(w, 1e-300, None))).sum(axis=-1, keepdims=True)
+    return -np.add.reduce(w * np.log(np.maximum(w, 1e-300)), -1, keepdims=True)
 
 
 def _dense(x, W, b, relu=False):
@@ -187,8 +200,9 @@ def _dense(x, W, b, relu=False):
 
 
 def _dense_g(g, out, relu):
-    """The gradient at ``x @ W + b``: relu's mask reads the output, which is
-    positive exactly where its input was."""
+    """The gradient at ``x @ W + b``, which all three of ``dense``'s rules
+    read: relu's mask reads the output, which is positive exactly where its
+    input was."""
     return g * (out > 0.0) if relu else g
 
 
@@ -215,8 +229,10 @@ def _mse_grad_p(g, out, aux, p, t):
 # An op's plain-array forward, ``forward(*parent_values[, aux])``, and one
 # gradient rule per parent, ``rule(g, out, aux, *parent_values)``, giving that
 # parent's gradient before it is summed back to the parent's shape.
-# ``aux_name`` names the op's constant argument, if it takes one.
-_Op = namedtuple("_Op", "forward grads aux_name", defaults=(None,))
+# ``aux_name`` names the op's constant argument, if it takes one. ``g_in``, if
+# given, is computed once per node, ``g_in(g, out, aux)``, and every rule then
+# reads it as ``g`` in place of the node's own gradient.
+_Op = namedtuple("_Op", "forward grads aux_name g_in", defaults=(None, None))
 OPS = {
     "matmul": _Op(lambda a, b, transpose_b=False: a @ (b.mT if transpose_b else b),
                   (lambda g, out, transpose_b, a, b: g @ (b if transpose_b else b.mT),
@@ -224,16 +240,18 @@ OPS = {
     "add": _Op(np.add, (lambda g, out, aux, a, b: g,) * 2),
     "hadamard": _Op(np.multiply, (lambda g, out, aux, a, b: g * b,
                                   lambda g, out, aux, a, b: g * a)),
+    "scale_rows": _Op(lambda W, w: W * w.mT, (
+        lambda g, out, aux, W, w: g * w.mT,
+        lambda g, out, aux, W, w: np.add.reduce(g * W, -1).reshape(w.shape))),
     "reshape": _Op(np.reshape, (lambda g, out, shape, a: g.reshape(a.shape),), "shape"),
     "softmax_rows": _Op(_stable_softmax_rows, (
         lambda g, w, aux, a: w * (g - np.add.reduce(g * w, -1, keepdims=True)),)),
     "entropy_rows": _Op(entropy, (
-        lambda g, h, aux, w: -g * (np.log(np.clip(w, 1e-300, None)) + 1.0),)),
+        lambda g, h, aux, w: -g * (np.log(np.maximum(w, 1e-300)) + 1.0),)),
     "sigmoid": _Op(_stable_sigmoid, (lambda g, y, aux, a: g * y * (1.0 - y),)),
-    "dense": _Op(_dense, (lambda g, out, relu, x, W, b: _dense_g(g, out, relu) @ W.mT,
-                          lambda g, out, relu, x, W, b: _matmul_grad_b(
-                              _dense_g(g, out, relu), out, False, x, W),
-                          lambda g, out, relu, x, W, b: _dense_g(g, out, relu)), "relu"),
+    "dense": _Op(_dense, (lambda g, out, relu, x, W, b: g @ W.mT,
+                          lambda g, out, relu, x, W, b: _matmul_grad_b(g, out, False, x, W),
+                          lambda g, out, relu, x, W, b: g), "relu", _dense_g),
     "mean": _Op(lambda a: np.array([[a.mean()]]),
                 (lambda g, y, aux, a: np.full(a.shape, g[0, 0] / a.size),)),
     "scale": _Op(lambda a, factor: factor * a, (lambda g, y, factor, a: factor * g,), "factor"),
@@ -276,6 +294,15 @@ def add(a: Node, b: Node) -> Node:
 
 def hadamard(a: Node, b: Node) -> Node:
     return _node("hadamard", a, b)
+
+
+def scale_rows(W: Node, w: Node) -> Node:
+    """``W`` with row i scaled by ``w[0, i]``: ``W * w.mT`` for a (1, rows)
+    ``w``, such as a ``softmax_rows`` gate over a weight's input rows."""
+    if w.value.shape != (1, W.value.shape[-2]):
+        raise ShapeError(f"scale_rows needs a (1, {W.value.shape[-2]}) row for "
+                         f"{W.value.shape}, got {w.value.shape}")
+    return _node("scale_rows", W, w)
 
 
 def softmax_rows(a: Node) -> Node:
@@ -344,32 +371,51 @@ def topo_order(root: Node) -> list[Node]:
     return order
 
 
-_Tape = namedtuple("_Tape", "forward live root_rules steps leaves")
+_Tape = namedtuple("_Tape", "forward root_step steps leaves")
+
+# How ``backward`` stores a (parent, rule) pair's contribution in the parent's
+# ``grad``. An interior parent's first contribution becomes its ``grad`` as it
+# is (``_SET``) and each later one makes a new sum (``_SUM``), since the first
+# may be another node's gradient too. A trainable leaf's first is added to 0.0
+# into its kept buffer (``_INTO``), so an all-zero gradient reads +0.0 as a
+# zero-filled sum would, and each later one is added in place (``_ADD``).
+_SET, _SUM, _INTO, _ADD = range(4)
 
 
 def _tape(root: Node) -> _Tape:
     """The graph under ``root`` compiled once and cached on it: the non-leaf
-    nodes in topological order (``forward``); in reverse order, the nodes that
-    depend on a trainable leaf (``live``) and, for each of them that is no
-    leaf, the (parent, gradient rule) pairs of its live parents (``steps``);
-    the root's own pairs (``root_rules``); and the trainable leaves in
-    topological order (``leaves``). ``root`` is in none of the node lists (a
-    cached reference to itself would make every graph a reference cycle); the
-    callers handle it directly."""
+    nodes in topological order (``forward``); the root's own step
+    (``root_step``); in reverse topological order, one step per non-leaf node
+    that depends on a trainable leaf (``steps``); and the trainable leaves in
+    topological order (``leaves``). A step is the node (left out of
+    ``root_step``), its op's ``g_in`` and its (parent, gradient rule, write)
+    triples, one per live parent, where ``write`` says how the contribution is
+    stored. ``root`` is in none of the node lists (a cached reference to
+    itself would make every graph a reference cycle); the callers handle it
+    directly."""
     if root.tape is None:
         order = topo_order(root)[:-1]  # the root comes last
         live: set[Node] = set()
         for node in order:
             if node.op == "leaf" or any(p in live for p in node.parents):
                 live.add(node)
+        nodes = (root, *(n for n in reversed(order) if n in live and n.parents))
+        written: set[Node] = set()
 
-        def rules(node):
-            return [(p, rule) for p, rule in zip(node.parents, OPS[node.op].grads) if p in live]
+        def write(parent):
+            leaf = parent.op == "leaf"
+            if parent in written:
+                return _ADD if leaf else _SUM
+            written.add(parent)
+            return _INTO if leaf else _SET
 
-        root.tape = _Tape([n for n in order if n.parents],
-                          [n for n in reversed(order) if n in live],
-                          rules(root) if root.parents else [],
-                          [(n, rules(n)) for n in reversed(order) if n in live and n.parents],
+        steps = []
+        for n in nodes:  # in backward's order, so ``write`` sees first contributions first
+            spec = OPS[n.op] if n.parents else _Op(None, ())  # a leaf root has no rules
+            steps.append((spec.g_in, [(p, rule, write(p))
+                                      for p, rule in zip(n.parents, spec.grads) if p in live]))
+        root.tape = _Tape([n for n in order if n.parents], steps[0],
+                          [(n, *step) for n, step in zip(nodes[1:], steps[1:])],
                           [n for n in order if n.op == "leaf"])
     return root.tape
 
@@ -386,29 +432,35 @@ def backward(loss: Node) -> dict[Node, np.ndarray]:
     """Populate ``grad`` on every node between a 1x1 loss and its trainable
     leaves.
 
-    Grads are reset first, so repeated calls are idempotent. Returns a map
-    from each trainable leaf the loss depends on to its gradient array; a
-    ``constant`` leaf has no entry. The arrays are the nodes' kept ``grad``
-    buffers, so the next ``backward`` through them overwrites them: copy one
-    to keep it.
+    Every call writes each gradient afresh, so repeated calls are idempotent.
+    Returns a map from each trainable leaf the loss depends on to its gradient
+    array; a ``constant`` leaf has no entry. The arrays are the leaves' kept
+    ``grad`` buffers, so the next ``backward`` through them overwrites them:
+    copy one to keep it.
     """
     if loss.value.shape != (1, 1):
         raise ValueError(f"backward requires a scalar (1x1) loss, got {loss.value.shape}")
-    _, live, root_rules, steps, leaves = _tape(loss)
-    if not live and loss.op != "leaf":  # the loss has no live parent and is no leaf
+    _, root_step, steps, leaves = _tape(loss)
+    if not root_step[1] and loss.op != "leaf":  # the loss has no live parent and is no leaf
         return {}
-    for node in (loss, *live):
+    for node in (loss, *leaves):
         g = node.grad
         if g is None or g.shape != node.value.shape:
             node.grad = np.zeros_like(node.value)
-        else:
-            g.fill(0.0)
     loss.grad[0, 0] = 1.0
-    for node, rules in ((loss, root_rules), *steps):
+    for node, g_in, rules in ((loss, *root_step), *steps):
+        g = node.grad if g_in is None else g_in(node.grad, node.value, node.aux)
         values = [p.value for p in node.parents]
-        for parent, rule in rules:
-            parent.grad += _sum_to(rule(node.grad, node.value, node.aux, *values),
-                                   parent.value.shape)
+        for parent, rule, write in rules:
+            c = _sum_to(rule(g, node.value, node.aux, *values), parent.value.shape)
+            if write == _SET:
+                parent.grad = c
+            elif write == _SUM:
+                parent.grad = parent.grad + c
+            elif write == _INTO:
+                np.add(0.0, c, out=parent.grad)
+            else:
+                parent.grad += c
     return {n: n.grad for n in (loss, *leaves) if n.op == "leaf"}
 
 

@@ -2,9 +2,9 @@
 one sigmoid unit, with an optional score gate on the input features.
 
 The gate scales the rows of the first layer's weight (``W0``, or ``emb`` for
-attention) by the softmax weights, which equals gating the input. So no
-forward pass builds a gated copy of its (n, d) input, and in the training
-graph the input stays a constant that takes no gradient.
+attention) by the softmax weights in one ``scale_rows`` op, which equals
+gating the input. So no forward pass builds a gated copy of its (n, d) input,
+and in the training graph the input stays a constant that takes no gradient.
 
 Each backbone's forward pass is written once, in ``Model._forward``, against
 an op namespace: ``loss_graph`` runs it with ``autodiff`` on graph leaves to
@@ -132,10 +132,10 @@ class Model:
         ``ops`` is ``autodiff`` on graph nodes or ``NUMPY_OPS`` on arrays."""
         cfg = self.config
         gate = None
-        if cfg.gated:  # (x * w) @ W0 = x @ (w[:, None] * W0): gate the weight rows, not x
+        if cfg.gated:  # (x * w) @ W0 = x @ (w.mT * W0): scale the weight's rows, not x
             first = "W0" if cfg.backbone == "mlp" else "emb"
             gate = ops.softmax_rows(params["scores"])
-            params = {**params, first: ops.hadamard(params[first], ops.reshape(gate, (-1, 1)))}
+            params = {**params, first: ops.scale_rows(params[first], gate)}
         if cfg.backbone == "mlp":
             n_layers = len(cfg.hidden) + 1
             for i in range(n_layers):

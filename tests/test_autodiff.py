@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from scoregate import autodiff as ad
+from scoregate.models import NUMPY_OPS, ModelConfig, build_model
 from scoregate.training import accuracy
 
 RNG = np.random.default_rng(20240817)
@@ -134,6 +135,31 @@ def test_hadamard_broadcast_backward():
     assert rel_err(grads[w], numeric_grad(loss, w)) < 1e-7
     # closed form: each w_j sees sum_i X_ij / size
     assert np.allclose(grads[w], X.value.sum(axis=0, keepdims=True) / 12.0, atol=1e-14)
+
+
+def test_scale_rows_forward_is_the_row_scaled_weight_bit_for_bit():
+    W, w = RNG.normal(size=(5, 3)), RNG.uniform(0.01, 1.0, size=(1, 5))
+    expected = W * w.reshape(-1, 1)
+    assert np.array_equal(ad.scale_rows(ad.leaf(W), ad.leaf(w)).value, expected)
+    assert np.array_equal(NUMPY_OPS.scale_rows(W, w), expected)
+
+
+def test_scale_rows_gradients_pass_grad_check():
+    x = ad.constant(RNG.normal(size=(6, 4)))
+    W = ad.leaf(RNG.normal(size=(4, 3)))
+    s = ad.leaf(RNG.normal(size=(1, 4)))
+    out = ad.matmul(x, ad.scale_rows(W, ad.softmax_rows(s)))
+    loss = ad.mse_loss(out, ad.constant(RNG.normal(size=(6, 3))))
+    assert ad.grad_check(loss, W) < 1e-6
+    assert ad.grad_check(loss, s) < 1e-6
+
+
+def test_scale_rows_checks_its_output_and_its_row():
+    with np.errstate(over="ignore"), \
+            pytest.raises(ad.NumericError, match="scale_rows produced a non-finite value"):
+        ad.scale_rows(ad.leaf(np.full((2, 1), 1e200)), ad.leaf(np.full((1, 2), 1e200)))
+    with pytest.raises(ad.ShapeError, match=r"scale_rows needs a \(1, 3\) row"):
+        ad.scale_rows(ad.leaf(np.ones((3, 2))), ad.leaf(np.ones((1, 1))))
 
 
 def test_softmax_backward_fd():
@@ -368,6 +394,90 @@ def test_diamond_graph_accumulates_shared_parent():
     loss = ad.mean(y)
     g = ad.backward(loss)[x]
     assert np.allclose(g, np.full((1, 2), 1.0), atol=1e-15)
+
+
+def _accumulated_grads(loss: ad.Node) -> dict:
+    """Each leaf's gradient the textbook way: every node's gradient starts at
+    zero and each rule's contribution is added into it, in reverse
+    topological order."""
+    order = ad.topo_order(loss)
+    grads = {node: np.zeros_like(node.value) for node in order}
+    grads[loss][0, 0] = 1.0
+    for node in reversed(order):
+        if not node.parents:
+            continue
+        spec = ad.OPS[node.op]
+        g = grads[node] if spec.g_in is None else spec.g_in(grads[node], node.value, node.aux)
+        values = [p.value for p in node.parents]
+        for parent, rule in zip(node.parents, spec.grads):
+            grads[parent] += ad._sum_to(rule(g, node.value, node.aux, *values), parent.value.shape)
+    return {node: grads[node] for node in order if node.op == "leaf"}
+
+
+def _shared_parent_losses():
+    """Losses in which a node takes several gradient contributions: an
+    interior node added to itself, one whose first contribution is also
+    another node's whole gradient (``add`` passes its own on to both
+    parents), a leaf multiplied by itself, and the gate softmax that both
+    gates the first layer and feeds the entropy penalty; and one in which a
+    leaf's only contribution holds a -0.0."""
+    x = ad.constant(RNG.normal(size=(4, 3)))
+    W, V = ad.leaf(RNG.normal(size=(3, 2))), ad.leaf(RNG.normal(size=(3, 2)))
+    h, k = ad.sigmoid(ad.matmul(x, W)), ad.sigmoid(ad.matmul(x, V))
+    yield ad.mean(ad.add(h, h))
+    yield ad.mean(ad.add(h, ad.add(ad.scale(h, 2.0), k)))
+    a = ad.leaf(RNG.normal(size=(2, 3)))
+    yield ad.mean(ad.dense(ad.hadamard(a, a), ad.leaf(RNG.normal(size=(3, 3))),
+                           ad.leaf(RNG.normal(size=(1, 3))), relu=True))
+    # unit 0 is dead on a one-row batch under a negative upstream gradient, so
+    # its bias takes -0.0 unsummed: the zero-filled sum reads +0.0
+    b = ad.leaf(np.array([[-1e3, 1e3]]))
+    yield ad.mean(ad.scale(ad.dense(ad.constant(RNG.normal(size=(1, 3))),
+                                    ad.leaf(RNG.normal(size=(3, 2))), b, relu=True), -1.0))
+    for backbone in ("mlp", "attention"):
+        cfg = ModelConfig(d_in=5, backbone=backbone, hidden=(7, 4), model_dim=6, ffn_dim=8,
+                          gated=True)
+        X = RNG.normal(size=(9, 5))
+        y = (RNG.uniform(size=9) < 0.5).astype(float)
+        yield build_model(cfg, seed=3).loss_graph(X, y, "bce", penalty_lam=0.1)[0]
+
+
+def test_direct_gradient_writes_equal_zero_and_accumulate():
+    writes = set()
+    for loss in _shared_parent_losses():
+        grads = ad.backward(loss)
+        expected = _accumulated_grads(loss)
+        assert grads.keys() == expected.keys()
+        for node, g in grads.items():  # bytes, so a zero's sign counts too
+            assert g.tobytes() == expected[node].tobytes(), node
+        tape = ad._tape(loss)
+        writes |= {w for rules in (tape.root_step[1], *(r for *_, r in tape.steps))
+                   for *_, w in rules}
+    assert writes == {ad._SET, ad._SUM, ad._INTO, ad._ADD}  # every kind was exercised
+
+
+def test_repeated_backward_writes_equal_gradients_into_bound_buffers():
+    for loss in _shared_parent_losses():
+        leaves = [node for node in ad.topo_order(loss) if node.op == "leaf"]
+        flat = np.zeros(sum(node.value.size for node in leaves))
+        views, start = {}, 0
+        for node in leaves:  # as training.train binds views of Adam's vector
+            node.grad = views[node] = flat[start:start + node.value.size].reshape(node.shape)
+            start += node.value.size
+        first = {node: g.copy() for node, g in ad.backward(loss).items()}
+        second = ad.backward(loss)
+        for node, view in views.items():
+            assert second[node] is view and node.grad is view
+            assert np.array_equal(second[node], first[node])
+
+
+def test_a_leaf_loss_takes_a_unit_gradient_in_its_kept_buffer():
+    w = ad.leaf(np.array([[3.0]]))
+    w.grad = buffer = np.full((1, 1), 7.0)
+    for _ in range(2):
+        grads = ad.backward(w)
+        assert list(grads) == [w] and grads[w] is buffer
+        assert np.array_equal(buffer, [[1.0]])
 
 
 def test_backward_is_idempotent():

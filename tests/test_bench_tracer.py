@@ -54,5 +54,5 @@ def test_a_traced_fit_records_the_training_spans(tmp_path):
                  "autodiff.backward", "autodiff.topo_order", "models.loss_graph",
                  "models.DataLeaves.assign", "models.predict", "data.load_csv"):
         assert summary[name]["calls"] > 0, name
-    # the gated MLP graph with the entropy penalty: 14 nodes plus 3
-    assert tracing.layer_metrics(summary)["autodiff.graph_nodes"] == 17
+    # the gated MLP graph with the entropy penalty: 13 nodes plus 3
+    assert tracing.layer_metrics(summary)["autodiff.graph_nodes"] == 16

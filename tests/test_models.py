@@ -188,21 +188,21 @@ def test_mlp_graph_gradients_pass_grad_check():
 
 
 @pytest.mark.parametrize("cfg, nodes, dense", [
-    (ModelConfig(d_in=16, hidden=(16,), gated=True), 14, 2),
-    (ModelConfig(d_in=16, backbone="attention", gated=True), 37, 3),
+    (ModelConfig(d_in=16, hidden=(16,), gated=True), 13, 2),
+    (ModelConfig(d_in=16, backbone="attention", gated=True), 36, 3),
 ], ids=["mlp", "attention"])
 def test_each_layer_and_head_is_one_dense_node(cfg, nodes, dense):
     X, y = make_batch(np.random.default_rng(0), 32, cfg.d_in, binary=True)
     loss, _, _, _ = build_model(cfg, seed=0).loss_graph(X, y, "bce")
     ops = [node.op for node in ad.topo_order(loss)]
-    assert len(ops) == nodes  # the gate is softmax_rows, a reshape and one hadamard
+    assert len(ops) == nodes  # the gate is softmax_rows and one scale_rows
     assert ops.count("dense") == dense
 
 
 @pytest.mark.parametrize("lam, extra", [(0.0, 0), (0.1, 3)], ids=["lam0", "lam0.1"])
 @pytest.mark.parametrize("cfg, nodes", [
-    (ModelConfig(d_in=16, hidden=(8,), gated=True), 14),
-    (ModelConfig(d_in=16, backbone="attention", hidden=(8,), gated=True), 37),
+    (ModelConfig(d_in=16, hidden=(8,), gated=True), 13),
+    (ModelConfig(d_in=16, backbone="attention", hidden=(8,), gated=True), 36),
 ], ids=["mlp", "attention"])
 def test_penalty_reads_the_gates_own_softmax_node(cfg, nodes, lam, extra):
     # the entropy penalty adds entropy_rows, scale and add on the gate's node,
@@ -228,7 +228,8 @@ def _bound_parents(loss, x_leaf):
         if any(p in on_x for p in node.parents):
             on_x.add(node)
     tape = ad._tape(loss)
-    bound = [p for p, _ in tape.root_rules] + [p for _, rules in tape.steps for p, _ in rules]
+    triples = [tape.root_step[1], *(rules for _, _, rules in tape.steps)]
+    bound = [p for rules in triples for p, _, _ in rules]
     assert not any(p in on_x and p not in live for p in bound)  # x, or a node of x alone
     return (sorted(p.op for p in bound if p in on_x),
             sorted(p.op for p in bound if p not in on_x))
@@ -238,7 +239,7 @@ def _bound_parents(loss, x_leaf):
 def test_gate_adds_no_gradient_on_the_input_side(backbone):
     # the gate scales the first layer's weight rows, so the input stays a
     # constant: beside a vanilla graph's, the gated tape binds rules only on
-    # the gate's own chain of (1, d), (d, 1) and weight-shaped nodes
+    # the gate's own chain of (1, d) and weight-shaped nodes
     X, y = make_batch(np.random.default_rng(0), 11, 5, binary=True)
     sides = {}
     for gated in (False, True):
@@ -248,7 +249,7 @@ def test_gate_adds_no_gradient_on_the_input_side(backbone):
         sides[gated] = _bound_parents(loss, data.x_leaf)
     (vanilla_x, vanilla_rest), (gated_x, gated_rest) = sides[False], sides[True]
     assert gated_x == vanilla_x
-    assert gated_rest == sorted(vanilla_rest + ["hadamard", "leaf", "reshape", "softmax_rows"])
+    assert gated_rest == sorted(vanilla_rest + ["leaf", "scale_rows", "softmax_rows"])
 
 
 @given(st.sampled_from(BACKBONES), st.integers(1, 16), st.integers(1, 2048),
