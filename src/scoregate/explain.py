@@ -5,7 +5,9 @@ coalition's value is the model output with absent features replaced by the
 background. ``exact_shapley`` enumerates all coalitions; ``kernel_shap``
 solves the weighted least-squares formulation and switches to full
 enumeration with exact kernel weights whenever the budget covers it, at which
-point the two agree to solver precision.
+point the two agree to solver precision. Either way the regression runs on
+masks plus weights: the sampled branch evaluates each distinct drawn
+coalition once, weighted by its draw count.
 """
 
 from __future__ import annotations
@@ -142,6 +144,19 @@ def _sample_masks(d: int, n_coalitions: int, rng: np.random.Generator) -> np.nda
     return position < draws[:, None]
 
 
+def _distinct_masks(masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each distinct row of ``masks`` once, weighted by how often it was drawn.
+
+    Least squares with integer row weights is least squares over the repeated
+    rows. A row's key is its packed bits read as one byte string, exact for
+    any feature count.
+    """
+    packed = np.packbits(masks, axis=1)
+    keys = packed.view(np.dtype((np.void, packed.shape[1]))).reshape(-1)
+    _, first, counts = np.unique(keys, return_index=True, return_counts=True)
+    return masks[first], counts
+
+
 def _full_masks(d: int) -> tuple[np.ndarray, np.ndarray]:
     masks = _coalition_masks(d)
     sizes = masks.sum(axis=1)
@@ -163,12 +178,15 @@ def kernel_shap(predict_fn, X: np.ndarray, background: np.ndarray, n_coalitions:
 
     ``n_coalitions`` is the total coalition budget; the empty and full
     coalitions are always evaluated (they anchor the efficiency constraint)
-    and the remainder is sampled from the Shapley kernel. The efficiency
-    property is enforced exactly by eliminating the last feature from the
-    regression and recovering it from the total output difference. When the
-    budget covers every non-trivial coalition, sampling is replaced by full
-    enumeration under exact kernel weights, which reproduces exact Shapley
-    values.
+    and the remainder is sampled from the Shapley kernel, with replacement.
+    A coalition drawn more than once is evaluated once, and its row of the
+    regression is weighted by its draw count, which solves the same problem
+    as the repeated rows; the result's ``n_coalitions`` still reports the
+    budget, repeats included. The efficiency property is enforced exactly by
+    eliminating the last feature from the regression and recovering it from
+    the total output difference. When the budget covers every non-trivial
+    coalition, sampling is replaced by full enumeration under exact kernel
+    weights, which reproduces exact Shapley values.
     """
     X = _rows_to_explain(X)
     n, d = X.shape
@@ -181,22 +199,23 @@ def kernel_shap(predict_fn, X: np.ndarray, background: np.ndarray, n_coalitions:
         return ShapResult(phi=phi, base_value=base_value, method="kernel", n_coalitions=2)
 
     budget = n_coalitions - 2  # empty + full are evaluated outside the regression
+    drawn = min(budget, 2 ** d - 2)  # design rows, repeated draws included
     if budget >= 2 ** d - 2:
         masks, weights = _full_masks(d)
     else:
-        masks = _sample_masks(d, budget, stream(seed))
-        weights = np.ones(masks.shape[0])
+        masks, weights = _distinct_masks(_sample_masks(d, budget, stream(seed)))
 
     z = masks.astype(np.float64)
     # eliminate the last feature so the efficiency constraint holds exactly
     A = z[:, :-1] - z[:, -1:]
     sw = np.sqrt(weights)
     # the weighted design is the same for every row: factor it once, with
-    # the rank rule of lstsq under rcond=None, and keep its pseudo-inverse
-    # with the weights folded in, so each row's solve is one matvec
+    # the rank rule of lstsq under rcond=None on the drawn design, and keep
+    # its pseudo-inverse with the weights folded in, so each row's solve is
+    # one matvec
     Aw = A * sw[:, None]
     U, s, Vt = np.linalg.svd(Aw, full_matrices=False)
-    rank = int(np.count_nonzero(s > np.finfo(np.float64).eps * max(A.shape) * s[0]))
+    rank = int(np.count_nonzero(s > np.finfo(np.float64).eps * max(drawn, d - 1) * s[0]))
     if rank < d - 1:
         raise NumericError(
             f"kernel regression design is singular (rank {rank} < {d - 1}); "
@@ -225,7 +244,7 @@ def kernel_shap(predict_fn, X: np.ndarray, background: np.ndarray, n_coalitions:
         fit = np.einsum("ij,ij->i", bw, bw)  # 0 for an all-zero target, which sol = 0 fits
         worst = max(worst, (np.einsum("ij,ij->i", res, res)[fit > 0] / fit[fit > 0]).max(initial=0))
     return ShapResult(phi=phi, base_value=base_value, method="kernel",
-                      n_coalitions=masks.shape[0] + 2, design_condition=float(s[0] / s[-1]),
+                      n_coalitions=drawn + 2, design_condition=float(s[0] / s[-1]),
                       regression_residual=math.sqrt(worst))
 
 

@@ -270,26 +270,41 @@ def test_kernel_shap_budget_validation():
 
 @pytest.mark.parametrize("n_coalitions", [40, 2 ** 6])
 def test_kernel_shap_coalition_inputs_equal_where(n_coalitions, monkeypatch):
-    # every coalition batch handed to the model is np.where(masks, x, bg), bit for bit
+    # every coalition batch handed to the model is np.where(masks, x, bg), bit
+    # for bit; a sampled budget's masks hold each drawn mask exactly once
     d = 6
     predict = mlp_predict(d, seed=3)
     rng = np.random.default_rng(1)
     X = rng.normal(size=(3, d))
     bg = rng.normal(size=d)
-    drawn, batches = [], []
-    sample = explain._sample_masks
+    drawn, gathered, batches = [], [], []
+    sample, gather = explain._sample_masks, explain._gather_index
 
     def recorded_sample(*args):
         drawn.append(sample(*args))
         return drawn[-1]
+
+    def recorded_gather(masks):
+        gathered.append(masks.copy())
+        return gather(masks)
 
     def recorded_predict(Z):
         batches.append(Z.copy())
         return predict(Z)
 
     monkeypatch.setattr(explain, "_sample_masks", recorded_sample)
+    monkeypatch.setattr(explain, "_gather_index", recorded_gather)
     kernel_shap(recorded_predict, X, bg, n_coalitions=n_coalitions, seed=4)
-    masks = drawn[0] if drawn else explain._full_masks(d)[0]
+    if drawn:
+        (masks,) = gathered
+        keys = [m.tobytes() for m in masks]
+        drawn_keys = [m.tobytes() for m in drawn[0]]
+        assert len(drawn_keys) == n_coalitions - 2
+        assert len(set(drawn_keys)) < len(drawn_keys)  # the draws repeat some masks
+        assert len(set(keys)) == len(keys)  # no repeat
+        assert set(keys) == set(drawn_keys)  # none missing, none added
+    else:
+        masks = explain._full_masks(d)[0]
     assert len(batches) == 2 + 3
     for r, Z in enumerate(batches[2:]):
         np.testing.assert_array_equal(Z, np.where(masks, X[r], bg))
@@ -404,6 +419,67 @@ def test_kernel_shap_rejects_a_singular_design(monkeypatch):
     with pytest.raises(NumericError,
                        match=r"kernel regression design is singular \(rank 1 < 3\)"):
         kernel_shap(predict, np.ones((2, 4)), np.zeros(4), n_coalitions=12)
+
+
+def test_kernel_shap_evaluates_each_repeated_draw_once(monkeypatch):
+    # 198 draws from a pool of 14 masks, some drawn dozens of times and some
+    # once: the count-weighted design solves as lstsq does on the repeated
+    # rows. (d = 8: a budget of 198 at d = 4 would enumerate all 14 masks.)
+    d, n_coalitions = 8, 200
+    rng = np.random.default_rng(2)
+    pool = np.concatenate([np.eye(d, dtype=bool), rng.random((6, d)) < 0.5])
+    pool[8:, 0], pool[8:, 1] = True, False  # neither empty nor full
+    p = 0.7 ** np.arange(14)
+    monkeypatch.setattr(explain, "_sample_masks",
+                        lambda d, m, rng: pool[rng.choice(14, size=m, p=p / p.sum())])
+    predict = mlp_predict(d, seed=6)
+    X = rng.normal(size=(3, d))
+    bg = rng.normal(size=d)
+    batches = []
+
+    def recorded(Z):
+        batches.append(Z.shape[0])
+        return predict(Z)
+
+    res = kernel_shap(recorded, X, bg, n_coalitions=n_coalitions, seed=5)
+    assert len(batches) == 2 + 3 and max(batches[2:]) <= 14
+    assert res.n_coalitions == n_coalitions
+    np.testing.assert_allclose(res.phi, lstsq_reference(predict, X, bg, n_coalitions, seed=5),
+                               rtol=0, atol=1e-12)
+    masks = explain._sample_masks(d, n_coalitions - 2,
+                                  np.random.default_rng(np.random.SeedSequence(5)))
+    z = masks.astype(np.float64)
+    s = np.linalg.svd(z[:, :-1] - z[:, -1:], compute_uv=False)
+    assert res.design_condition == pytest.approx(s[0] / s[-1], rel=1e-12)
+
+
+def test_kernel_shap_keys_masks_past_64_features(monkeypatch):
+    # draws that differ only in a feature past index 63, each drawn twice:
+    # an integer bit code would overflow there and merge them
+    d = 70
+    rng = np.random.default_rng(7)
+    base = rng.random((120, d)) < 0.5
+    base[:, 64:] = False
+    pairs = np.concatenate([base, base])
+    pairs[120 + np.arange(120), 64 + np.arange(120) % 6] = True
+    draws = np.concatenate([pairs, pairs])[rng.permutation(480)]
+    monkeypatch.setattr(explain, "_sample_masks", lambda d, m, rng: draws[:m])
+    predict = mlp_predict(d, seed=1)
+    X = rng.normal(size=(2, d))
+    bg = rng.normal(size=d)
+    batches = []
+
+    def recorded(Z):
+        batches.append(Z.copy())
+        return predict(Z)
+
+    res = kernel_shap(recorded, X, bg, n_coalitions=len(draws) + 2, seed=0)
+    assert res.n_coalitions == len(draws) + 2 and len(batches) == 2 + 2
+    for r, Z in enumerate(batches[2:]):
+        seen = sorted(m.tobytes() for m in Z == X[r])
+        assert seen == sorted(m.tobytes() for m in pairs)  # each mask reaches the model once
+    np.testing.assert_allclose(res.phi, lstsq_reference(predict, X, bg, len(draws) + 2, seed=0),
+                               rtol=0, atol=1e-12)
 
 
 def test_kernel_shap_design_diagnostics():
