@@ -50,10 +50,6 @@ def _resolve_seed(flag: str, flag_value: int | None) -> int:
     return seed
 
 
-def _write_json(path, obj) -> None:
-    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-
-
 def _manifest_path(primary_out) -> Path:
     return Path(primary_out).with_suffix(".manifest.json")
 
@@ -69,7 +65,7 @@ def _write_manifest(args, primary_out, seeds: dict, inputs: list[str],
         if value is not None:
             argv.append("--" + dest.replace("_", "-"))
             argv += [str(v) for v in value] if isinstance(value, list) else [str(value)]
-    _write_json(_manifest_path(primary_out), {
+    data.write_json(_manifest_path(primary_out), {
         "command": args.command,
         "argv": argv,
         "cwd": os.getcwd(),
@@ -190,7 +186,7 @@ def cmd_train(args) -> int:
     payload = report.to_dict()
     payload["model_kind"] = args.model
     payload["data"] = args.data
-    _write_json(args.out_report, payload)
+    data.write_json(args.out_report, payload)
 
     _write_manifest(args, args.out_model, {"seed": args.seed, "split_seed": args.seed},
                     [args.data] + ([args.init_values] if args.init_values else []),
@@ -231,7 +227,7 @@ def cmd_rank(args) -> int:
     payload = ranking.to_dict()
     payload["order_one_indexed"] = _one_indexed(ranking.order)
     payload["elapsed_ms"] = elapsed_ms
-    _write_json(args.out, payload)
+    data.write_json(args.out, payload)
     _write_manifest(args, args.out, {}, [args.model], [args.out])
     print(f"ranking (one-indexed): {payload['order_one_indexed']} ({elapsed_ms:.4f} ms)")
     return 0
@@ -253,7 +249,7 @@ def cmd_shap(args) -> int:
     payload["order_one_indexed"] = _one_indexed(ranking.order)
     payload["sample_indices"] = [int(i) for i in idx]
     payload["elapsed_ms"] = elapsed_ms
-    _write_json(args.out, payload)
+    data.write_json(args.out, payload)
     _write_manifest(args, args.out, {"seed": args.seed}, [args.model, args.data], [args.out])
     print(f"shap ranking (one-indexed): {payload['order_one_indexed']} "
           f"({elapsed_ms:.1f} ms, {result.n_coalitions} coalitions)")
@@ -292,7 +288,12 @@ def cmd_compare(args) -> int:
     labels = [label for label, _ in entries]
     rankings = [r for _, r in entries]
 
-    matrix = [[_spearman_or_none(a, b) for b in rankings] for a in rankings]
+    # spearman is symmetric to the bit, so each unordered pair is computed once;
+    # the diagonal is computed too, as an all-ties ranking reads null there
+    matrix: list[list[float | None]] = [[None] * len(rankings) for _ in rankings]
+    for i, a in enumerate(rankings):
+        for j in range(i, len(rankings)):
+            matrix[i][j] = matrix[j][i] = _spearman_or_none(a, rankings[j])
     payload: dict = {"labels": labels, "spearman": matrix}
 
     if gt is not None:
@@ -305,7 +306,7 @@ def cmd_compare(args) -> int:
             payload["top_k"] = top_k
             payload["ours_matches"] = sum(row["ours_match"] for row in table)
             payload["shap_matches"] = sum(row["shap_match"] for row in table)
-    _write_json(args.out, payload)
+    data.write_json(args.out, payload)
 
     _write_manifest(args, args.out, {},
                     list(args.rankings) + ([args.sidecar] if args.sidecar else []), [args.out])
@@ -353,7 +354,7 @@ def cmd_stability(args) -> int:
         "scores_orders": [r.order for r in score_rankings],
         "shap_orders": [r.order for r in shap_rankings],
     }
-    _write_json(args.out, payload)
+    data.write_json(args.out, payload)
     _write_manifest(args, args.out, {"base_seed": args.base_seed, "run_seeds": run_seeds},
                     [args.data], [args.out])
     print(f"mean rank variance: scores {payload['scores_mean_variance']:.4f} "
@@ -396,7 +397,7 @@ def cmd_plot(args) -> int:
     lines = ["epoch," + ",".join(f"s{i + 1}" for i in range(d))]
     for entry in trajectory:
         lines.append(str(entry["epoch"]) + "," + ",".join(repr(v) for v in entry["scores"]))
-    Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    data.write_text(args.out, "\n".join(lines) + "\n")
     _write_manifest(args, args.out, {}, [args.report], [args.out])
     print(f"wrote {len(trajectory)} trajectory rows x {d + 1} columns to {args.out}")
     return 0

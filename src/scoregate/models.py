@@ -27,7 +27,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import autodiff as ad
-from .data import stream
+from .data import stream, write_text
 from .scores import init_scores, scores_to_weights
 
 BACKBONES = ("mlp", "attention")
@@ -235,7 +235,7 @@ class Model:
         return cls(config, params)
 
     def save(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), sort_keys=True) + "\n", encoding="utf-8")
+        write_text(path, json.dumps(self.to_dict(), sort_keys=True) + "\n")
 
     @classmethod
     def load(cls, path) -> "Model":

@@ -20,7 +20,7 @@ import scoregate
 from scoregate import cli, data
 from scoregate.cli import main
 from scoregate.models import Model
-from scoregate.scores import scores_to_weights
+from scoregate.scores import Ranking, scores_to_weights
 
 
 @pytest.fixture(scope="module")
@@ -63,6 +63,22 @@ def test_gen_writes_csv_sidecar_manifest(workdir):
     # the CSV matches an in-library generation under the same seed
     direct = data.gen_synthetic(60, 2, seed=1)
     np.testing.assert_array_equal(ds.X, direct.X)
+
+
+def test_gen_over_a_longer_csv_writes_the_bytes_of_a_fresh_gen(tmp_path):
+    # the artifacts are written over the old bytes, then cut to length
+    old, fresh = tmp_path / "old", tmp_path / "fresh"
+    old.mkdir(), fresh.mkdir()
+    argv = ["gen", "--dataset", "synth", "--noise", "1", "--seed", "4"]
+    assert main([*argv, "--n", "2000", "--out", str(old / "ds.csv")]) == 0
+    long_size = (old / "ds.csv").stat().st_size
+    assert main([*argv, "--n", "25", "--out", str(old / "ds.csv")]) == 0
+    assert main([*argv, "--n", "25", "--out", str(fresh / "ds.csv")]) == 0
+    for name in ("ds.csv", "ds.sidecar.json"):
+        assert (old / name).read_bytes() == (fresh / name).read_bytes()
+    assert (old / "ds.csv").stat().st_size < long_size
+    # "2000" shrank to "25": a stale tail would leave the manifest unparseable
+    assert read_json(old / "ds.manifest.json")["resolved_params"]["n"] == 25
 
 
 def test_gen_other_generators(tmp_path):
@@ -394,6 +410,28 @@ def test_compare_reports_all_tie_ranking_as_null(workdir, tmp_path, capsys):
                  "--out", str(out)]) == 0
     assert read_json(out)["spearman"] == [[1.0, None], [None, None]]
     assert "n/a" in capsys.readouterr().out
+
+
+def test_compare_matrix_equals_every_ordered_pair(workdir, tmp_path):
+    # each unordered pair is computed once and mirrored: the payload must hold
+    # exactly what all n^2 calls give, null cells of an all-ties ranking included
+    rank_out, shap_out = tmp_path / "rank.json", tmp_path / "shap.json"
+    main(["rank", "--model", str(workdir["model"]), "--out", str(rank_out)])
+    main(["shap", "--model", str(workdir["model"]), "--data", str(workdir["csv"]),
+          "--samples", "5", "--coalitions", "64", "--seed", "0", "--out", str(shap_out)])
+    ties = tmp_path / "ties.json"
+    ties.write_text(json.dumps({"order": list(range(7)), "values": [0.5] * 7,
+                                "source": "shap"}), encoding="utf-8")
+    paths = [rank_out, shap_out, ties]
+    out = tmp_path / "cmp.json"
+    assert main(["compare", "--rankings", *map(str, paths), "--sidecar",
+                 str(workdir["sidecar"]), "--out", str(out)]) == 0
+    rankings = [cli._load_ranking(p) for p in paths]
+    rankings.append(Ranking(data.read_ground_truth(workdir["sidecar"]), source="ground-truth"))
+    expected = [[cli._spearman_or_none(a, b) for b in rankings] for a in rankings]
+    matrix = read_json(out)["spearman"]
+    assert matrix == expected
+    assert matrix[2] == [None] * 4 and matrix[0][1] is not None
 
 
 def test_compare_reports_a_single_ranked_feature_as_null(tmp_path):

@@ -8,7 +8,10 @@ noise columns (or target noise) never changes the columns already drawn.
 import ast
 import csv
 import io
+import json
 import math
+import os
+import stat
 from pathlib import Path
 
 import numpy as np
@@ -317,6 +320,119 @@ def test_sidecar_round_trip(tmp_path):
     assert meta["params"] == {"n": 20, "noise_features": 2}
     assert meta["seed"] == 5
     assert meta["ground_truth_importance"] == list(SYNTH_COEFFS) + [0.0, 0.0]
+
+
+# --- writing artifacts -----------------------------------------------------------------
+
+
+def test_a_shorter_rewrite_leaves_no_stale_tail(tmp_path):
+    path, fresh = tmp_path / "out.json", tmp_path / "fresh.json"
+    data.write_text(path, "a longer first text\n" * 50)
+    data.write_json(path, {"b": 1})
+    fresh.write_text(json.dumps({"b": 1}, indent=2) + "\n", encoding="utf-8")
+    assert path.read_bytes() == fresh.read_bytes()
+
+
+def test_a_rewrite_as_long_or_longer_is_the_new_text(tmp_path):
+    # no tail is left to cut, so none is cut
+    path = tmp_path / "out.txt"
+    for text in ("0123456789\n", "abcdefghij\n", "a longer text than before\n"):
+        data.write_text(path, text)
+        assert path.read_text(encoding="utf-8") == text
+
+
+def test_a_missing_file_gets_the_mode_open_gives(tmp_path):
+    with open(tmp_path / "by_open", "w", encoding="utf-8"):
+        pass
+    data.write_text(tmp_path / "by_writer", "x\n")
+    modes = {name: stat.S_IMODE((tmp_path / name).stat().st_mode)
+             for name in ("by_open", "by_writer")}
+    assert modes["by_writer"] == modes["by_open"]
+
+
+@pytest.mark.skipif(not hasattr(os, "symlink"), reason="no symlinks")
+def test_writing_through_a_symlink_updates_its_target(tmp_path):
+    target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+    target.write_text("old text, longer than the new\n", encoding="utf-8")
+    link.symlink_to(target)
+    data.write_text(link, "new\n")
+    assert link.is_symlink()
+    assert target.read_text(encoding="utf-8") == "new\n"
+
+
+def test_writing_to_the_null_device_succeeds():
+    # a device is written, never truncated
+    data.write_text(os.devnull, "discarded\n")
+    with data.overwrite(os.devnull, newline="") as fh:
+        csv.writer(fh).writerow(["a", "b"])
+
+
+def test_a_failed_write_leaves_a_prefix_of_the_new_text(tmp_path):
+    # a block that raises still cuts the old tail, as an O_TRUNC open left none
+    path = tmp_path / "out.txt"
+    path.write_text("0123456789\n", encoding="utf-8")
+    with pytest.raises(RuntimeError), data.overwrite(path) as fh:
+        fh.write("ab")
+        raise RuntimeError
+    assert path.read_text(encoding="utf-8") == "ab"
+
+
+def test_a_failed_write_past_the_buffer_keeps_no_old_byte(tmp_path):
+    # text already flushed stays, the old bytes past it go
+    path = tmp_path / "out.txt"
+    path.write_text("x" * 100_000, encoding="utf-8")
+    with pytest.raises(RuntimeError), data.overwrite(path) as fh:
+        fh.write("y" * 30_000)
+        fh.flush()
+        fh.write("z")
+        raise RuntimeError
+    assert path.read_text(encoding="utf-8") == "y" * 30_000 + "z"
+
+
+def _write_call(call: ast.Call) -> str | None:
+    """How ``call`` can open a file for writing, or None if it cannot."""
+    func = call.func
+    if isinstance(func, ast.Name):
+        name, owner = func.id, None
+    elif isinstance(func, ast.Attribute):
+        name = func.attr
+        owner = func.value.id if isinstance(func.value, ast.Name) else "<expr>"
+    else:
+        return None
+    if name == "open" and owner == "os":
+        return "os.open"
+    if name == "open":
+        # builtin open(file, mode) or Path.open(mode); a mode keyword not
+        # written out as a constant counts as writing
+        mode = next((k.value for k in call.keywords if k.arg == "mode"), None)
+        if mode is not None and not isinstance(mode, ast.Constant):
+            return "open"
+        texts = [m.value for m in [*call.args[:2], mode] if isinstance(m, ast.Constant)]
+        if any(isinstance(t, str) and t and set(t) <= set("rwaxbt+") and set(t) & set("wax+")
+               for t in texts):
+            return "open"
+        return None
+    if name in ("write_text", "write_bytes") and owner is not None and owner != "data":
+        return name
+    if name == "tofile" or owner == "np" and name.startswith("save"):
+        return name
+    return None
+
+
+def test_only_the_one_writer_opens_a_file_for_writing():
+    # every module writes its artifacts through data.overwrite, or through
+    # data.write_text / data.write_json on top of it
+    found = {}
+    for name, source in _module_sources().items():
+        tree = ast.parse(source)
+        defs = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
+        for call in (n for n in ast.walk(tree) if isinstance(n, ast.Call)):
+            what = _write_call(call)
+            if what:
+                inside = [d for d in defs if d.lineno <= call.lineno <= d.end_lineno]
+                where = max(inside, key=lambda d: d.lineno).name if inside else "<module>"
+                found.setdefault(name, set()).add((where, what))
+    assert found == {"data.py": {("overwrite", "os.open"), ("overwrite", "open")}}
 
 
 # --- splitting -----------------------------------------------------------------------
