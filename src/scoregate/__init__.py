@@ -37,7 +37,6 @@ from .scores import (
     analytic_grads,
     extract_ranking,
     init_scores,
-    scores_to_weights,
 )
 from .training import TrainConfig, TrainReport, TrainingError, train
 
@@ -51,5 +50,5 @@ __all__ = [
     "gen_friedman1", "gen_friedman2", "gen_synthetic", "global_importance",
     "grad_check", "init_scores", "kernel_shap", "leaf", "load_csv",
     "mean_background", "rank_match_table", "rank_stability", "recompute",
-    "save_csv", "scores_to_weights", "spearman", "spearman_rho", "split", "train",
+    "save_csv", "spearman", "spearman_rho", "split", "train",
 ]

@@ -151,6 +151,19 @@ def _parse_hidden(text: str) -> tuple[int, ...]:
     return dims
 
 
+def _fit(ds, config: ModelConfig, seed: int, args, **options):
+    """A model built from ``config``, fit to 80% of ``ds`` by ``args``' epochs,
+    lr and batch size (0: full batch) and scored on the other 20%, with its
+    report; ``seed`` draws the weights, the split and the batch order, and
+    ``options`` are further ``TrainConfig`` fields."""
+    model = build_model(config, seed)
+    train_ds, test_ds = data.split(ds, 0.8, seed)
+    tcfg = TrainConfig(epochs=args.epochs, lr=args.lr, shuffle_seed=seed,
+                       batch_size=None if args.batch_size == 0 else args.batch_size, **options)
+    return model, train(model, train_ds.X, train_ds.y, ds.task, tcfg,
+                        X_test=test_ds.X, y_test=test_ds.y)
+
+
 def cmd_train(args) -> int:
     _reject_unread(args, "backbone", _BACKBONE_FLAGS)
     _reject_unread(args, "model", _MODEL_FLAGS)
@@ -173,14 +186,8 @@ def cmd_train(args) -> int:
         gated=args.model == "scores", score_init=init_map[args.init],
         score_init_values=init_values,
     )
-    model = build_model(config, args.seed)
-    train_ds, test_ds = data.split(ds, 0.8, args.seed)
-    batch_size = None if args.batch_size == 0 else args.batch_size
-    tcfg = TrainConfig(epochs=args.epochs, lr=args.lr, batch_size=batch_size,
-                       shuffle_seed=args.seed, penalty_lam=args.lam,
-                       record_every=args.record_every)
-    report = train(model, train_ds.X, train_ds.y, ds.task, tcfg,
-                   X_test=test_ds.X, y_test=test_ds.y)
+    model, report = _fit(ds, config, args.seed, args, penalty_lam=args.lam,
+                         record_every=args.record_every)
 
     model.save(args.out_model)
     payload = report.to_dict()
@@ -193,7 +200,7 @@ def cmd_train(args) -> int:
                     [args.out_model, args.out_report])
     acc = payload["final_test_accuracy"]
     acc_txt = "n/a" if acc is None else f"{acc:.4f}"
-    print(f"trained {args.model} {args.backbone} for {tcfg.epochs} epochs: "
+    print(f"trained {args.model} {args.backbone} for {args.epochs} epochs: "
           f"final train loss {report.final_train_loss:.6g}, test accuracy {acc_txt}")
     return 0
 
@@ -218,10 +225,8 @@ def _json_object(raw) -> dict:
 
 def cmd_rank(args) -> int:
     model = _load(args.model, "model", Model.from_dict)
-    if model.scores is None:
-        raise ValueError("model has no score gate to rank features with; train with --model scores")
     t0 = time.perf_counter()
-    ranking = extract_ranking(model.scores)
+    ranking = extract_ranking(model)
     elapsed_ms = (time.perf_counter() - t0) * 1000.0
 
     payload = ranking.to_dict()
@@ -233,15 +238,22 @@ def cmd_rank(args) -> int:
     return 0
 
 
-def cmd_shap(args) -> int:
-    model = _load(args.model, "model", Model.from_dict)
-    ds = data.load_csv(args.data)
-    idx = _sample_rows(ds.n, args.samples, args.seed)
+def _explain(model: Model, ds, args, seed: int):
+    """Kernel SHAP of ``model`` on ``args.samples`` rows of ``ds`` against its
+    mean, rows and coalitions drawn by ``seed``: the result, the rows and the
+    milliseconds ``kernel_shap`` took."""
+    idx = _sample_rows(ds.n, args.samples, seed)
     background = mean_background(ds.X)
     t0 = time.perf_counter()
     result = kernel_shap(model.predict, ds.X[idx], background,
-                         n_coalitions=args.coalitions, seed=args.seed)
-    elapsed_ms = (time.perf_counter() - t0) * 1000.0
+                         n_coalitions=args.coalitions, seed=seed)
+    return result, idx, (time.perf_counter() - t0) * 1000.0
+
+
+def cmd_shap(args) -> int:
+    model = _load(args.model, "model", Model.from_dict)
+    ds = data.load_csv(args.data)
+    result, idx, elapsed_ms = _explain(model, ds, args, args.seed)
     ranking = global_importance(result)
 
     payload = result.to_dict()
@@ -324,23 +336,14 @@ def cmd_stability(args) -> int:
     _check_samples(ds.n, args.samples)
     check_coalitions(args.coalitions, ds.d)
     run_seeds = [args.base_seed + r for r in range(args.n_runs)]
-    background = mean_background(ds.X)
+    config = ModelConfig(d_in=ds.d, backbone=args.backbone,
+                         hidden=_parse_hidden(args.hidden), gated=True)
 
     score_rankings, shap_rankings = [], []
     for run_seed in run_seeds:
-        config = ModelConfig(d_in=ds.d, backbone=args.backbone,
-                             hidden=_parse_hidden(args.hidden), gated=True, score_init="zero")
-        model = build_model(config, run_seed)
-        train_ds, _ = data.split(ds, 0.8, run_seed)
-        batch_size = None if args.batch_size == 0 else args.batch_size
-        train(model, train_ds.X, train_ds.y, ds.task,
-              TrainConfig(epochs=args.epochs, lr=args.lr, batch_size=batch_size,
-                          shuffle_seed=run_seed, record_every=args.epochs))
-        score_rankings.append(extract_ranking(model.scores))
-        idx = _sample_rows(ds.n, args.samples, run_seed)
-        result = kernel_shap(model.predict, ds.X[idx], background,
-                             n_coalitions=args.coalitions, seed=run_seed)
-        shap_rankings.append(global_importance(result))
+        model, _ = _fit(ds, config, run_seed, args, record_every=args.epochs)
+        score_rankings.append(extract_ranking(model))
+        shap_rankings.append(global_importance(_explain(model, ds, args, run_seed)[0]))
 
     scores_var = rank_stability(score_rankings)
     shap_var = rank_stability(shap_rankings)

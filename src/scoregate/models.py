@@ -28,7 +28,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .data import stream, write_text
-from .scores import init_scores, scores_to_weights
+from .scores import init_scores
 
 BACKBONES = ("mlp", "attention")
 
@@ -124,7 +124,12 @@ class Model:
         return None if s is None else s[0]
 
     def gate_weights(self) -> np.ndarray:
-        return scores_to_weights(self.scores)
+        """Each feature's gate weight, the one readout of the gate outside the
+        graph: its ``softmax_rows`` arithmetic on the scores, bit for bit."""
+        if self.scores is None:
+            raise ValueError("model has no score gate to rank features with; "
+                             "train with --model scores")
+        return ad._stable_softmax_rows(self.scores)
 
     def _forward(self, ops, x, params):
         """The backbone's forward pass from (n, d_in) inputs: the (n, 1)
@@ -163,8 +168,8 @@ class Model:
             -> tuple[ad.Node, ad.Node, dict[str, ad.Node], DataLeaves]:
         """Build the training loss node over a batch: the ``loss_kind`` loss,
         plus ``penalty_lam`` times the gate weights' entropy when
-        ``penalty_lam`` is above 0, which needs a gated model (``train``
-        checks that before building the graph).
+        ``penalty_lam`` is above 0, which needs a gated model (checked before
+        any node is built).
 
         Returns (loss, prediction node, parameter leaves, data leaves).
         Predictions stay live across ``recompute`` calls (read them from the
@@ -176,6 +181,8 @@ class Model:
         if loss_kind not in losses:
             raise ValueError(f"unknown loss_kind {loss_kind!r}; expected "
                              + " or ".join(map(repr, losses)))
+        if penalty_lam > 0 and not self.config.gated:
+            raise ValueError("penalty_lam penalizes the gate's entropy; an ungated model has no gate")
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64).reshape(-1, 1)
         if X.shape[1] != self.config.d_in:

@@ -1,7 +1,7 @@
-"""Learnable feature-scoring layer: a score vector softmax-normalized into
-gating weights, plus ranking extraction and the closed-form gradients of the
-gated linear map. A model applies the weights by scaling the rows of its first
-layer's weight, which equals multiplying the input elementwise.
+"""Learnable feature-scoring layer: score vector init, ranking extraction from
+a model's gate weights, and the closed-form gradients of the gated linear map.
+A model applies the weights by scaling the rows of its first layer's weight,
+which equals multiplying the input elementwise.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import NumericError, _stable_softmax_rows
+from . import autodiff as ad
 from .data import SCORE_INIT, check_finite, stream
 
 INIT_STRATEGIES = ("zero", "random-uniform", "from-values")
@@ -44,18 +44,6 @@ def init_scores(d: int, strategy: str = "zero", seed: int = 0,
     return s
 
 
-def scores_to_weights(s) -> np.ndarray:
-    """Softmax of the score vector, stabilized by max subtraction; computed by
-    the graph's ``softmax_rows`` arithmetic, so the gate weights read here
-    equal the forward pass's bit for bit."""
-    s = np.asarray(s, dtype=np.float64).reshape(-1)
-    if s.size < 1:
-        raise ValueError("scores vector must have length >= 1")
-    if not np.all(np.isfinite(s)):
-        raise NumericError("scores must be finite")
-    return _stable_softmax_rows(s)
-
-
 def analytic_grads(W, s, x) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form partials of the gated hidden layer
     y = (w * x) @ W = x @ (w[:, None] * W).
@@ -70,7 +58,8 @@ def analytic_grads(W, s, x) -> tuple[np.ndarray, np.ndarray]:
     x = np.asarray(x, dtype=np.float64).reshape(-1)
     if W.ndim != 2 or W.shape[0] != s.shape[0] or s.shape[0] != x.shape[0]:
         raise ValueError(f"analytic_grads dimension mismatch: W {W.shape}, s ({s.shape[0]},), x ({x.shape[0]},)")
-    w = scores_to_weights(s)
+    check_finite("s", s, axes=("feature",))
+    w = ad._stable_softmax_rows(s)
     u = w * x
     d_w = np.repeat(u[:, None], W.shape[1], axis=1)
     d_s = (W * u[:, None]).T - np.outer(W.T @ u, w)
@@ -113,6 +102,6 @@ class Ranking:
         return ranking
 
 
-def extract_ranking(scores) -> Ranking:
-    """Global feature ranking from the softmax weights of a score vector."""
-    return Ranking(scores_to_weights(scores), source="scores")
+def extract_ranking(model) -> Ranking:
+    """Global feature ranking of a gated model, from its gate weights."""
+    return Ranking(model.gate_weights(), source="scores")

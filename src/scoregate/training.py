@@ -195,8 +195,6 @@ def train(model: Model, X: np.ndarray, y: np.ndarray, task: str, config: TrainCo
     if (X_test is None) != (y_test is None):
         raise ValueError("X_test and y_test must be given together")
     gated = model.config.gated
-    if config.penalty_lam > 0 and not gated:
-        raise ValueError("penalty_lam penalizes the gate's entropy; an ungated model has no gate")
     # keyed by the targets' argument name: the training pair, then the held-out one if given
     pairs = {y_name: _prepared(model, x_name, X_, y_name, y_) for x_name, X_, y_name, y_ in
              (("X", X, "y", y), ("X_test", X_test, "y_test", y_test)) if X_ is not None}

@@ -186,7 +186,7 @@ def build_c3() -> dict:
         ds, model, _ = train_synth_model(1000, 5, seed, (8,), 1000, 0.001, 64)
         if seed == 0:  # criterion 9 explains this model; kept beside the payload
             CACHE["c3_seed0_model"] = model
-        ranking = extract_ranking(model.scores)
+        ranking = extract_ranking(model)
         gt = Ranking(ds.ground_truth_importances(), "ground-truth")
         runs.append({
             "seed": seed,
@@ -231,7 +231,7 @@ def build_c4() -> dict:
         model = build_model(cfg, seed)
         train(model, train_ds.X, train_ds.y, "classification",
               TrainConfig(epochs=2000, lr=0.01, batch_size=64, shuffle_seed=0))
-        order = extract_ranking(model.scores).order
+        order = extract_ranking(model).order
         runs.append({"init": label, "seed": seed,
                      "order_one_indexed": one_indexed(order)})
     return {"criterion": 4, "runs": runs}

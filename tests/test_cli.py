@@ -5,6 +5,7 @@ against the library, and replay must reproduce outputs byte-for-byte.
 
 import argparse
 import ast
+import inspect
 import json
 import math
 import re
@@ -20,7 +21,7 @@ import scoregate
 from scoregate import cli, data
 from scoregate.cli import main
 from scoregate.models import Model
-from scoregate.scores import Ranking, scores_to_weights
+from scoregate.scores import Ranking
 
 
 @pytest.fixture(scope="module")
@@ -165,8 +166,8 @@ def test_train_vanilla_and_gt_init(workdir, tmp_path):
     report = read_json(gt_r)
     start = report["scores_trajectory"][0]
     assert start["scores"] == [0.2, 0.3, 0.1, 0.05, 0.5, 0.0, 0.0]
-    np.testing.assert_allclose(start["weights"],
-                               scores_to_weights(start["scores"]), rtol=1e-15)
+    stored = Model(Model.load(gt_m).config, {"scores": np.array([start["scores"]])})
+    assert start["weights"] == stored.gate_weights().tolist()
 
 
 def test_train_usage_failures(workdir, tmp_path):
@@ -198,9 +199,9 @@ def test_train_usage_failures(workdir, tmp_path):
 def test_train_rejects_an_option_it_would_ignore(flags, message, workdir, tmp_path,
                                                  monkeypatch, capsys):
     def no_graph(*args, **kwargs):
-        raise AssertionError("loss_graph was called")
+        raise AssertionError("the forward graph was built")
 
-    monkeypatch.setattr(Model, "loss_graph", no_graph)
+    monkeypatch.setattr(Model, "_forward", no_graph)
     out_m = tmp_path / "m.json"
     assert main(["train", "--data", str(workdir["csv"]), "--epochs", "1",
                  *[f.format(sidecar=workdir["sidecar"]) for f in flags],
@@ -576,8 +577,9 @@ def test_stability_payload(workdir, tmp_path):
         assert sorted(order) == list(range(7))
 
 
-def test_each_stability_run_is_the_train_rank_shap_pipeline(workdir, tmp_path):
-    fit = ["--hidden", "3", "--epochs", "20", "--lr", "0.01", "--batch-size", "16"]
+def assert_stability_runs_are_train_rank_shap(fit, workdir, tmp_path):
+    """stability fits and explains through train's and shap's own steps, so
+    each run's orders are the ones those commands give at the run's seed."""
     explain = ["--samples", "6", "--coalitions", "64"]
     out = tmp_path / "stab.json"
     assert main(["stability", "--data", str(workdir["csv"]), *fit, *explain,
@@ -593,6 +595,27 @@ def test_each_stability_run_is_the_train_rank_shap_pipeline(workdir, tmp_path):
                      "--seed", seed, "--out", str(shap_out)]) == 0
         assert payload["scores_orders"][i] == read_json(rank_out)["order"]
         assert payload["shap_orders"][i] == read_json(shap_out)["ranking"]["order"]
+
+
+def test_each_stability_run_is_the_train_rank_shap_pipeline(workdir, tmp_path):
+    assert_stability_runs_are_train_rank_shap(
+        ["--hidden", "3", "--epochs", "20", "--lr", "0.01", "--batch-size", "16"],
+        workdir, tmp_path)
+
+
+def test_each_attention_stability_run_is_the_train_rank_shap_pipeline(workdir, tmp_path):
+    # full batch, and the attention widths train takes by default
+    assert_stability_runs_are_train_rank_shap(
+        ["--backbone", "attention", "--epochs", "4", "--lr", "0.01", "--batch-size", "0"],
+        workdir, tmp_path)
+
+
+def test_stability_fits_and_explains_only_through_the_shared_steps():
+    called = {node.func.attr if isinstance(node.func, ast.Attribute) else node.func.id
+              for node in ast.walk(ast.parse(inspect.getsource(cli.cmd_stability)))
+              if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute))}
+    assert {"_fit", "_explain"} <= called
+    assert not called & {"build_model", "split", "TrainConfig", "train", "kernel_shap"}
 
 
 def test_stability_rejects_a_single_run_before_training(tmp_path, monkeypatch, capsys):

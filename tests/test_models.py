@@ -8,10 +8,12 @@ swapping via ``DataLeaves.assign`` must behave exactly like rebuilding the
 graph on the new batch.
 """
 
+import ast
 import json
 import math
 import tracemalloc
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,8 +27,7 @@ from scoregate.models import (
     ModelConfig,
     build_model,
 )
-from scoregate.scores import INIT_STRATEGIES, Ranking, extract_ranking, init_scores, \
-    scores_to_weights
+from scoregate.scores import INIT_STRATEGIES, Ranking, extract_ranking, init_scores
 from scoregate.training import TrainConfig, train
 
 
@@ -271,7 +272,8 @@ def test_gated_predict_is_vanilla_predict_on_gated_inputs(backbone, d, n, seed):
     # ranking reads the scores it read before
     for name, arr in before.items():
         np.testing.assert_array_equal(model.params[name], arr)
-    assert extract_ranking(model.scores) == Ranking(scores_to_weights(before["scores"]))
+    assert extract_ranking(model) == \
+        Ranking(Model(cfg, {"scores": before["scores"]}).gate_weights())
 
 
 @pytest.mark.parametrize("n, d", [(2046, 16), (1024, 10)])
@@ -412,8 +414,9 @@ def test_scores_property_is_a_live_view():
     model = build_model(ModelConfig(d_in=3, hidden=(2,), gated=True), seed=0)
     model.params["scores"][0, 0] = 5.0
     assert model.scores[0] == 5.0
-    np.testing.assert_allclose(model.gate_weights(),
-                               scores_to_weights(model.params["scores"][0]), rtol=1e-15)
+    # gate_weights reads the scores as they stand
+    np.testing.assert_allclose(model.gate_weights(), np.array([math.exp(5.0), 1.0, 1.0])
+                               / (math.exp(5.0) + 2.0), rtol=1e-15)
 
 
 @pytest.mark.parametrize("cfg", [c for c in CONFIGS if c.gated and c.score_init == "zero"],
@@ -429,6 +432,43 @@ def test_gate_weights_equal_the_graphs_softmax_node(cfg, scale):
     gate, = [node for node in ad.topo_order(loss)
              if node.op == "softmax_rows" and node.parents[0] is leaves["scores"]]
     np.testing.assert_array_equal(model.gate_weights(), gate.value[0])
+
+
+def test_an_ungated_model_has_no_gate_to_read():
+    model = build_model(ModelConfig(d_in=3, hidden=(2,)), seed=0)
+    for read in (model.gate_weights, lambda: extract_ranking(model)):
+        with pytest.raises(ValueError, match="model has no score gate to rank features with; "
+                                             "train with --model scores"):
+            read()
+
+
+def _scopes_naming(source: str, name: str) -> set[str]:
+    """The dotted class/function path around each place ``source`` names
+    ``name`` (as a name, an attribute or an import); "" is module level."""
+    found = set()
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}".lstrip(".")
+        if name in (getattr(node, "id", None), getattr(node, "attr", None),
+                    getattr(node, "name", None) if isinstance(node, ast.alias) else None):
+            found.add(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_only_the_gate_readout_and_the_reference_gradients_compute_the_softmax():
+    # autodiff owns the softmax arithmetic; outside it, Model.gate_weights is
+    # the one readout of the gate, and analytic_grads the independent reference
+    # of the gradient check. Any other reader goes through gate_weights.
+    package = Path(ad.__file__).parent
+    scopes = {p.name: _scopes_naming(p.read_text("utf-8"), "_stable_softmax_rows")
+              for p in package.glob("*.py") if p.name != "autodiff.py"}
+    assert {name: found for name, found in scopes.items() if found} == \
+        {"models.py": {"Model.gate_weights"}, "scores.py": {"analytic_grads"}}
 
 
 # --- config ------------------------------------------------------------------------
@@ -484,6 +524,16 @@ def test_loss_graph_rejects_an_unknown_loss_kind():
     with pytest.raises(ValueError) as info:
         model.loss_graph(np.ones((4, 3)), np.ones(4), "bxe")
     assert str(info.value) == "unknown loss_kind 'bxe'; expected 'bce' or 'mse'"
+
+
+def test_loss_graph_rejects_a_penalty_on_an_ungated_model():
+    model = build_model(ModelConfig(d_in=3, hidden=(2,)), seed=0)
+    X, y = make_batch(np.random.default_rng(0), 4, 3, binary=True)
+    with pytest.raises(ValueError, match="penalty_lam penalizes the gate's entropy; "
+                                         "an ungated model has no gate"):
+        model.loss_graph(X, y, "bce", penalty_lam=0.1)
+    loss, *_ = model.loss_graph(X, y, "bce", penalty_lam=0.0)  # no penalty, no gate needed
+    assert [node.op for node in ad.topo_order(loss)].count("entropy_rows") == 0
 
 
 def test_loss_graph_rejects_wrong_width():

@@ -4,8 +4,8 @@ The gradient of the gated linear map is checked three independent ways:
 a hand-rolled loop oracle written straight from the chain rule, central
 finite differences on a pure-numpy forward, and the autodiff graph with
 per-output unit-vector readouts, both as ``(x * w) @ W`` and in the folded
-form ``x @ (w[:, None] * W)`` the models train. Softmax values are cross-checked against
-a 50-digit mpmath reference.
+form ``x @ (w[:, None] * W)`` the models train. The gate weights a model reads,
+``Model.gate_weights``, are cross-checked against a 50-digit mpmath reference.
 """
 
 import itertools
@@ -19,14 +19,22 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 import scoregate.autodiff as ad
+from scoregate.models import Model, ModelConfig, build_model
 from scoregate.scores import (
     RANKING_SOURCES,
     Ranking,
     analytic_grads,
     extract_ranking,
     init_scores,
-    scores_to_weights,
 )
+
+
+def gated(s) -> Model:
+    """A gated model whose scores are ``s``, set by the ``from-values`` init."""
+    s = np.asarray(s, dtype=np.float64)
+    return build_model(ModelConfig(d_in=s.size, hidden=(1,), gated=True,
+                                   score_init="from-values", score_init_values=s.tolist()),
+                       seed=0)
 
 
 def mp_softmax(s):
@@ -167,48 +175,55 @@ def test_analytic_grads_shape_errors():
         analytic_grads(np.ones((3, 2)), np.ones(3), np.ones(2))
     with pytest.raises(ValueError):
         analytic_grads(np.ones(3), np.ones(3), np.ones(3))
+    with pytest.raises(ValueError, match="s holds a non-finite value at feature 1"):
+        analytic_grads(np.ones((3, 2)), [0.0, np.nan, 1.0], np.ones(3))
 
 
-# --- softmax weights ---------------------------------------------------------
+# --- gate weights ---------------------------------------------------------------
 
 
-def test_scores_to_weights_known_values():
-    np.testing.assert_allclose(scores_to_weights([0.0, 0.0]), [0.5, 0.5], rtol=1e-15)
+def test_gate_weights_known_values():
+    np.testing.assert_allclose(gated([0.0, 0.0]).gate_weights(), [0.5, 0.5], rtol=1e-15)
     np.testing.assert_allclose(
-        scores_to_weights([math.log(2.0), 0.0]), [2 / 3, 1 / 3], rtol=1e-14
+        gated([math.log(2.0), 0.0]).gate_weights(), [2 / 3, 1 / 3], rtol=1e-14
     )
 
 
-def test_scores_to_weights_extreme_scores_stable():
-    w = scores_to_weights([1000.0, 0.0])
+def test_gate_weights_extreme_scores_stable():
+    w = gated([1000.0, 0.0]).gate_weights()
     np.testing.assert_allclose(w, mp_softmax([1000.0, 0.0]), rtol=1e-15, atol=1e-300)
     assert w[0] == 1.0 and w[1] == 0.0
 
 
-def test_scores_to_weights_matches_mpmath():
+def test_gate_weights_match_mpmath():
     rng = np.random.default_rng(5)
     for _ in range(10):
         s = rng.normal(scale=4.0, size=int(rng.integers(1, 9)))
-        np.testing.assert_allclose(scores_to_weights(s), mp_softmax(s), rtol=1e-14)
+        np.testing.assert_allclose(gated(s).gate_weights(), mp_softmax(s), rtol=1e-14)
 
 
-def test_scores_to_weights_rejects_bad_input():
-    with pytest.raises(ValueError):
-        scores_to_weights([])
-    with pytest.raises(ad.NumericError):
-        scores_to_weights([np.inf, 0.0])
-    with pytest.raises(ad.NumericError):
-        scores_to_weights([np.nan])
+def test_a_gated_model_rejects_empty_or_non_finite_scores():
+    # so gate_weights never sees them: no model has an empty score vector,
+    # and neither the init nor a model file puts a NaN or an inf in one
+    with pytest.raises(ValueError, match="d_in must be >= 1"):
+        ModelConfig(d_in=0, gated=True)
+    model = gated([0.5, 1.0])
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="score_init_values holds a non-finite value "
+                                             "at feature 0"):
+            gated([bad, 0.0])
+        with pytest.raises(ad.NumericError, match="model parameters must be finite: scores"):
+            Model.from_dict({**model.to_dict(), "scores": [bad, 0.0]})
 
 
 @given(st.lists(st.floats(-30, 30), min_size=1, max_size=10),
        st.floats(-100, 100))
 @settings(max_examples=60, deadline=None)
 def test_weights_sum_to_one_and_shift_invariant(s, c):
-    w = scores_to_weights(s)
+    w = gated(s).gate_weights()
     assert abs(w.sum() - 1.0) < 1e-12
     assert np.all(w >= 0)
-    shifted = scores_to_weights([v + c for v in s])
+    shifted = gated([v + c for v in s]).gate_weights()
     np.testing.assert_allclose(shifted, w, rtol=1e-9, atol=1e-12)
 
 
@@ -218,7 +233,9 @@ def test_weights_sum_to_one_and_shift_invariant(s, c):
 def test_init_zero_gives_uniform_weights():
     s = init_scores(5, "zero")
     assert np.all(s == 0.0)
-    np.testing.assert_allclose(scores_to_weights(s), np.full(5, 0.2), rtol=1e-15)
+    model = build_model(ModelConfig(d_in=5, hidden=(1,), gated=True), seed=0)
+    np.testing.assert_array_equal(model.scores, s)
+    np.testing.assert_allclose(model.gate_weights(), np.full(5, 0.2), rtol=1e-15)
 
 
 def test_init_random_uniform_seeded_and_bounded():
@@ -268,7 +285,7 @@ def entropy_penalty(s_leaf, lam):
 
 def closed_form_entropy_grad(s, lam):
     """d/ds_l of lam * H(softmax(s)) = -lam * w_l * (ln w_l + H(w))."""
-    w = scores_to_weights(s)
+    w = gated(s).gate_weights()
     h = -(w * np.log(w)).sum()
     return -lam * w * (np.log(w) + h)
 
@@ -368,11 +385,13 @@ def test_ranking_order_is_the_stable_descending_argsort(values, source):
 
 
 def test_extract_ranking_uses_current_weights():
-    s = np.array([0.0, 3.0, 1.0])
-    r = extract_ranking(s)
+    model = gated([0.0, 3.0, 1.0])
+    r = extract_ranking(model)
     assert r.order == [1, 2, 0]
     assert r.source == "scores"
-    np.testing.assert_allclose(r.values, scores_to_weights(s), rtol=1e-15)
+    np.testing.assert_array_equal(r.values, model.gate_weights())
+    model.params["scores"][0, 0] = 5.0  # the ranking reads the scores as they stand
+    assert extract_ranking(model).order == [0, 1, 2]
 
 
 @given(st.lists(st.floats(-20, 20), min_size=2, max_size=8, unique=True),
@@ -382,11 +401,8 @@ def test_extract_ranking_shift_invariant(s, c):
     # softmax is shift-invariant, so the ranking must be too. Rounding can tie
     # two weights (s=[0, 2**-52], c=2 makes s + c one value); every step is
     # monotone, so when neither side has tied weights the orders must agree.
-    w_base = scores_to_weights(np.array(s))
-    w_moved = scores_to_weights(np.array(s) + c)
-    assume(len(np.unique(w_base)) == len(s) and len(np.unique(w_moved)) == len(s))
-    base = extract_ranking(np.array(s))
-    moved = extract_ranking(np.array(s) + c)
+    base, moved = extract_ranking(gated(s)), extract_ranking(gated(np.array(s) + c))
+    assume(len(set(base.values)) == len(s) and len(set(moved.values)) == len(s))
     assert base.order == moved.order
 
 
@@ -394,6 +410,6 @@ def test_extract_ranking_shift_invariant(s, c):
 @settings(max_examples=50, deadline=None)
 def test_extract_ranking_shift_invariant_with_ties(s, c):
     # integer scores shift exactly, so tied scores stay tied and keep index order
-    base = extract_ranking(np.array(s, dtype=float))
-    moved = extract_ranking(np.array(s, dtype=float) + c)
+    base = extract_ranking(gated(np.array(s, dtype=float)))
+    moved = extract_ranking(gated(np.array(s, dtype=float) + c))
     assert base.order == moved.order

@@ -20,7 +20,6 @@ import pytest
 import scoregate.autodiff as ad
 import scoregate.training as training
 from scoregate.models import Model, ModelConfig, build_model
-from scoregate.scores import scores_to_weights
 from scoregate.training import (
     TrainConfig,
     TrainingError,
@@ -227,8 +226,9 @@ def test_curve_and_trajectory_shapes():
                    TrainConfig(epochs=7, batch_size=None, record_every=3))
     assert [r.epoch for r in report.curve] == list(range(7))
     assert [t["epoch"] for t in report.scores_trajectory] == [0, 3, 6, 7]
-    for t in report.scores_trajectory:
-        np.testing.assert_allclose(t["weights"], scores_to_weights(t["scores"]), rtol=1e-15)
+    for t in report.scores_trajectory:  # the stored weights are gate_weights of the stored scores
+        stored = Model(model.config, {"scores": np.array([t["scores"]])})
+        assert t["weights"] == stored.gate_weights().tolist()
     assert report.scores_trajectory[-1]["scores"] == [float(v) for v in model.scores]
 
 
@@ -439,9 +439,10 @@ def test_penalty_on_an_ungated_model_fails_before_the_graph_is_built(monkeypatch
     model = build_model(ModelConfig(d_in=3, hidden=(2,)), seed=0)
 
     def no_graph(*args, **kwargs):
-        raise AssertionError("loss_graph was called")
+        raise AssertionError("the forward graph was built")
 
-    monkeypatch.setattr(Model, "loss_graph", no_graph)
+    # loss_graph checks the penalty before it builds the forward pass
+    monkeypatch.setattr(Model, "_forward", no_graph)
     with pytest.raises(ValueError, match="an ungated model has no gate"):
         train(model, X, y, "classification", TrainConfig(epochs=2, penalty_lam=5.0))
 
