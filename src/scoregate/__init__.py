@@ -21,8 +21,10 @@ from .data import (
     split,
 )
 from .explain import (
+    Ranking,
     ShapResult,
     exact_shapley,
+    extract_ranking,
     global_importance,
     kernel_shap,
     mean_background,
@@ -31,13 +33,7 @@ from .explain import (
     spearman,
     spearman_rho,
 )
-from .models import Model, ModelConfig, build_model
-from .scores import (
-    Ranking,
-    analytic_grads,
-    extract_ranking,
-    init_scores,
-)
+from .models import Model, ModelConfig, analytic_grads, build_model, init_scores
 from .training import TrainConfig, TrainReport, TrainingError, train
 
 __version__ = "0.1.0"

@@ -24,10 +24,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, data
-from .explain import UndefinedCorrelation, check_coalitions, global_importance, kernel_shap, \
-    mean_background, rank_match_table, rank_stability, spearman
+from .explain import Ranking, UndefinedCorrelation, check_coalitions, extract_ranking, \
+    global_importance, kernel_shap, mean_background, rank_match_table, rank_stability, spearman
 from .models import Model, ModelConfig, build_model
-from .scores import Ranking, extract_ranking
 from .training import TrainConfig, train
 
 DEFAULT_SEED = 0
@@ -156,6 +155,8 @@ def _fit(ds, config: ModelConfig, seed: int, args, **options):
     lr and batch size (0: full batch) and scored on the other 20%, with its
     report; ``seed`` draws the weights, the split and the batch order, and
     ``options`` are further ``TrainConfig`` fields."""
+    if args.batch_size < 0:
+        raise ValueError(f"--batch-size must be >= 0 (0 trains full-batch), got {args.batch_size}")
     model = build_model(config, seed)
     train_ds, test_ds = data.split(ds, 0.8, seed)
     tcfg = TrainConfig(epochs=args.epochs, lr=args.lr, shuffle_seed=seed,
@@ -311,8 +312,8 @@ def cmd_compare(args) -> int:
     if gt is not None:
         ours = next((r for r in rankings if r.source == "scores"), None)
         shap_r = next((r for r in rankings if r.source == "shap"), None)
-        if ours is not None and shap_r is not None:
-            top_k = int(np.sum(np.asarray(gt.values) > 0))
+        top_k = int(np.sum(np.asarray(gt.values) > 0))
+        if ours is not None and shap_r is not None and top_k:  # a ground truth may rank none
             table = rank_match_table(ours, shap_r, gt, top_k)
             payload["rank_match_table"] = table
             payload["top_k"] = top_k

@@ -1,4 +1,4 @@
-"""Shapley-value attribution baselines and ranking-comparison metrics.
+"""Shapley-value attribution baselines, feature rankings and their comparison.
 
 Both explainers use a single reference point (the background mean): a
 coalition's value is the model output with absent features replaced by the
@@ -8,20 +8,25 @@ enumeration with exact kernel weights whenever the budget covers it, at which
 point the two agree to solver precision. Either way the regression runs on
 masks plus weights: the sampled branch evaluates each distinct drawn
 coalition once, weighted by its draw count.
+
+A ``Ranking`` orders features by one source's importance values: a gated
+model's gate weights (``extract_ranking``), SHAP's mean |phi|
+(``global_importance``) or a dataset's ground truth. ``spearman``,
+``rank_match_table`` and ``rank_stability`` compare rankings.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .autodiff import NumericError
 from .data import check_finite, stream
-from .scores import Ranking
 
 EXACT_MAX_FEATURES = 15
+RANKING_SOURCES = ("scores", "shap", "ground-truth")
 RESIDUAL_ROWS = 16  # rows whose fit residuals share one pass over the kernel design
 
 
@@ -248,7 +253,48 @@ def kernel_shap(predict_fn, X: np.ndarray, background: np.ndarray, n_coalitions:
                       regression_residual=math.sqrt(worst))
 
 
-# -- ranking comparison ------------------------------------------------------
+# -- rankings and their comparison -------------------------------------------
+
+
+@dataclass
+class Ranking:
+    """Features ordered by descending importance value.
+
+    ``values[i]`` is the importance of feature ``i``; ``order[k]`` is the
+    0-based feature index at rank ``k``, derived from the values by a stable
+    descending sort, so ties break toward the lower index.
+    """
+
+    values: list[float]
+    source: str = "scores"
+    order: list[int] = field(init=False)
+
+    def __post_init__(self):
+        if self.source not in RANKING_SOURCES:
+            raise ValueError(f"unknown ranking source {self.source!r}")
+        values = np.asarray(self.values, dtype=np.float64)
+        check_finite(f"{self.source} ranking", values, axes=("feature",))
+        self.values = values.tolist()
+        self.order = np.argsort(-values, kind="stable").tolist()
+
+    def to_dict(self) -> dict:
+        return {"order": list(self.order), "values": list(self.values), "source": self.source}
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "Ranking":
+        """The ranking a ``to_dict`` payload holds; its order must be its values' order."""
+        if not {"order", "values", "source"} <= d.keys():
+            raise ValueError(f"a ranking needs keys order, values and source, got {sorted(d)}")
+        ranking = cls(d["values"], d["source"])
+        if list(d["order"]) != ranking.order:
+            raise ValueError(f"order {list(d['order'])} is not the stable descending order "
+                             f"of its values, {ranking.order}")
+        return ranking
+
+
+def extract_ranking(model) -> Ranking:
+    """Global feature ranking of a gated model, from its gate weights."""
+    return Ranking(model.gate_weights(), source="scores")
 
 
 def global_importance(result: ShapResult) -> Ranking:
@@ -283,6 +329,8 @@ def spearman_rho(a, b) -> float:
         raise ValueError("length mismatch")
     if a.shape[0] < 2:
         raise ValueError("need at least two items to correlate")
+    check_finite("a", a, axes=("entry",))
+    check_finite("b", b, axes=("entry",))
     ra, rb = fractional_ranks(a), fractional_ranks(b)
     ra -= ra.mean()
     rb -= rb.mean()

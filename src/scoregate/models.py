@@ -1,5 +1,8 @@
-"""Model architectures: an MLP or a single-head attention backbone ending in
-one sigmoid unit, with an optional score gate on the input features.
+"""Model architectures, an MLP or a single-head attention backbone ending in
+one sigmoid unit, and the optional score gate on their input features: how
+its scores start (``init_scores``), its one readout outside the graph
+(``Model.gate_weights``), its place in the forward pass, and the closed-form
+gradients the gradient check takes as its reference (``analytic_grads``).
 
 The gate scales the rows of the first layer's weight (``W0``, or ``emb`` for
 attention) by the softmax weights in one ``scale_rows`` op, which equals
@@ -27,10 +30,10 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import autodiff as ad
-from .data import stream, write_text
-from .scores import init_scores
+from .data import SCORE_INIT, check_finite, stream, write_text
 
 BACKBONES = ("mlp", "attention")
+INIT_STRATEGIES = ("zero", "random-uniform", "from-values")
 
 # The autodiff forwards on plain arrays, without the graph's checks.
 NUMPY_OPS = SimpleNamespace(constant=np.asarray, **{op: s.forward for op, s in ad.OPS.items()})
@@ -249,6 +252,33 @@ class Model:
         return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
 
 
+def init_scores(d: int, strategy: str = "zero", seed: int = 0,
+                values=None) -> np.ndarray:
+    """Create a scores vector of length ``d``.
+
+    ``zero`` starts all scores equal (uniform weights), ``random-uniform``
+    draws i.i.d. from U[-1, 1] on its own stream of ``seed`` (not the one the
+    weights draw from), and ``from-values`` copies a supplied vector (e.g.
+    ground-truth coefficients).
+    """
+    if d < 1:
+        raise ValueError("d must be >= 1")
+    if strategy not in INIT_STRATEGIES:
+        raise ValueError(f"unknown init strategy {strategy!r}")
+    if (values is not None) != (strategy == "from-values"):
+        raise ValueError("values must be supplied iff strategy is 'from-values'")
+    if strategy == "zero":
+        s = np.zeros(d)
+    elif strategy == "random-uniform":
+        s = stream(seed, SCORE_INIT).uniform(-1.0, 1.0, size=d)
+    else:
+        s = np.asarray(values, dtype=np.float64).reshape(-1).copy()
+        if s.shape[0] != d:
+            raise ValueError(f"from-values needs length {d}, got {s.shape[0]}")
+        check_finite("score_init_values", s, axes=("feature",))
+    return s
+
+
 def _uniform_fan_in(rng: np.random.Generator, fan_in: int, shape) -> np.ndarray:
     bound = 1.0 / np.sqrt(fan_in)
     return rng.uniform(-bound, bound, size=shape)
@@ -264,3 +294,25 @@ def build_model(config: ModelConfig, seed: int) -> Model:
         params["scores"] = init_scores(config.d_in, config.score_init, seed=seed,
                                        values=config.score_init_values).reshape(1, -1)
     return Model(config, params)
+
+
+def analytic_grads(W, s, x) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form partials of the gated hidden layer
+    y = (w * x) @ W = x @ (w[:, None] * W).
+
+    With w = softmax(s), W of shape (d, K) and x of shape (d,):
+      dW[i, k]  = d y_k / d W[i, k] = w_i * x_i          (same for every k)
+      ds[k, l]  = d y_k / d s_l
+                = sum_i W[i, k] * w_i * (delta_il - w_l) * x_i
+    """
+    W = np.asarray(W, dtype=np.float64)
+    s = np.asarray(s, dtype=np.float64).reshape(-1)
+    x = np.asarray(x, dtype=np.float64).reshape(-1)
+    if W.ndim != 2 or W.shape[0] != s.shape[0] or s.shape[0] != x.shape[0]:
+        raise ValueError(f"analytic_grads dimension mismatch: W {W.shape}, s ({s.shape[0]},), x ({x.shape[0]},)")
+    check_finite("s", s, axes=("feature",))
+    w = ad._stable_softmax_rows(s)
+    u = w * x
+    d_w = np.repeat(u[:, None], W.shape[1], axis=1)
+    d_s = (W * u[:, None]).T - np.outer(W.T @ u, w)
+    return d_w, d_s

@@ -18,9 +18,8 @@ import numpy as np
 import scoregate.autodiff as ad
 from scoregate import data
 from scoregate.cli import main
-from scoregate.explain import exact_shapley, kernel_shap, spearman
-from scoregate.models import ModelConfig, build_model
-from scoregate.scores import Ranking, analytic_grads, extract_ranking
+from scoregate.explain import Ranking, exact_shapley, extract_ranking, kernel_shap, spearman
+from scoregate.models import ModelConfig, analytic_grads, build_model
 from scoregate.training import TrainConfig, train
 
 CACHE: dict = {}

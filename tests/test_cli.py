@@ -20,8 +20,8 @@ import pytest
 import scoregate
 from scoregate import cli, data
 from scoregate.cli import main
+from scoregate.explain import Ranking
 from scoregate.models import Model
-from scoregate.scores import Ranking
 
 
 @pytest.fixture(scope="module")
@@ -457,6 +457,27 @@ def test_compare_reports_a_single_ranked_feature_as_null(tmp_path):
     assert payload["rank_match_table"][0]["ground_truth"] == 0
 
 
+def test_compare_skips_the_match_table_when_ground_truth_ranks_no_feature(workdir, tmp_path):
+    # with no relevant feature there is no position to match: the payload is
+    # the one compare writes without a scores/shap pair, its ground-truth cells null
+    rank_out, shap_out = tmp_path / "rank.json", tmp_path / "shap.json"
+    assert main(["rank", "--model", str(workdir["model"]), "--out", str(rank_out)]) == 0
+    assert main(["shap", "--model", str(workdir["model"]), "--data", str(workdir["csv"]),
+                 "--samples", "5", "--coalitions", "64", "--seed", "0",
+                 "--out", str(shap_out)]) == 0
+    sidecar = tmp_path / "none-relevant.sidecar.json"
+    sidecar.write_text(json.dumps({**read_json(workdir["sidecar"]),
+                                   "ground_truth_importance": [0.0] * 7}), encoding="utf-8")
+    out = tmp_path / "cmp.json"
+    assert main(["compare", "--rankings", str(rank_out), str(shap_out),
+                 "--sidecar", str(sidecar), "--out", str(out)]) == 0
+    payload = read_json(out)
+    assert sorted(payload) == ["labels", "spearman"]
+    m = payload["spearman"]
+    assert m[2] == [None, None, None] and m[0][2] is None and m[1][2] is None
+    assert m[0][0] == m[1][1] == 1.0
+
+
 def test_compare_names_each_ranking_of_another_feature_count(workdir, tmp_path, capsys):
     rank_out, rank4 = tmp_path / "rank.json", tmp_path / "rank4.json"
     assert main(["rank", "--model", str(workdir["model"]), "--out", str(rank_out)]) == 0
@@ -639,6 +660,23 @@ def test_stability_rejects_a_flag_its_backbone_does_not_read(tmp_path, monkeypat
                  "--hidden", "9", "--out", str(out)]) == 1
     assert "--backbone attention does not take --hidden" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "stability"])
+def test_a_negative_batch_size_is_rejected_before_training(command, workdir, tmp_path,
+                                                          monkeypatch, capsys):
+    # the CLI's full batch is 0; the library's None has no spelling on the command line
+    def no_training(*args, **kwargs):
+        raise AssertionError("train was called")
+
+    monkeypatch.setattr(cli, "train", no_training)
+    outs = {"train": ["--out-model", str(tmp_path / "m.json"),
+                      "--out-report", str(tmp_path / "r.json")],
+            "stability": ["--out", str(tmp_path / "stab.json")]}[command]
+    assert main([command, "--data", str(workdir["csv"]), "--batch-size", "-1", *outs]) == 1
+    assert ("--batch-size must be >= 0 (0 trains full-batch), got -1"
+            in capsys.readouterr().err)
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("samples, message", [

@@ -22,6 +22,7 @@ from scoregate import explain
 from scoregate.autodiff import NumericError
 from scoregate.explain import (
     EXACT_MAX_FEATURES,
+    Ranking,
     ShapResult,
     exact_shapley,
     fractional_ranks,
@@ -36,7 +37,6 @@ from scoregate.explain import (
     UndefinedCorrelation,
 )
 from scoregate.models import ModelConfig, build_model
-from scoregate.scores import Ranking
 
 
 def permutation_shapley(predict_fn, x, bg):
@@ -654,6 +654,17 @@ def test_spearman_rho_validation():
         spearman_rho([1], [2])
     with pytest.raises(ValueError):
         spearman_rho([1, 1, 1], [1, 2, 3])
+
+
+@pytest.mark.parametrize("a, b, message", [
+    ([1.0, np.nan, 3.0], [1.0, 2.0, 3.0], "a holds a non-finite value at entry 1"),
+    ([np.nan] * 3, [1.0, 2.0, 3.0], "a holds a non-finite value at entry 0"),
+    ([1.0, 2.0, 3.0], [1.0, 2.0, -np.inf], "b holds a non-finite value at entry 2"),
+])
+def test_spearman_rho_rejects_a_non_finite_entry(a, b, message):
+    # NaN has no rank: argsort would place it last and return a number
+    with pytest.raises(ValueError, match=message):
+        spearman_rho(a, b)
 
 
 def test_spearman_restricts_to_ground_truth_support():

@@ -21,13 +21,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import scoregate.autodiff as ad
+from scoregate.explain import Ranking, extract_ranking
 from scoregate.models import (
     BACKBONES,
+    INIT_STRATEGIES,
     Model,
     ModelConfig,
     build_model,
+    init_scores,
 )
-from scoregate.scores import INIT_STRATEGIES, Ranking, extract_ranking, init_scores
 from scoregate.training import TrainConfig, train
 
 
@@ -468,7 +470,7 @@ def test_only_the_gate_readout_and_the_reference_gradients_compute_the_softmax()
     scopes = {p.name: _scopes_naming(p.read_text("utf-8"), "_stable_softmax_rows")
               for p in package.glob("*.py") if p.name != "autodiff.py"}
     assert {name: found for name, found in scopes.items() if found} == \
-        {"models.py": {"Model.gate_weights"}, "scores.py": {"analytic_grads"}}
+        {"models.py": {"Model.gate_weights", "analytic_grads"}}
 
 
 # --- config ------------------------------------------------------------------------

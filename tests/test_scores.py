@@ -19,14 +19,8 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 import scoregate.autodiff as ad
-from scoregate.models import Model, ModelConfig, build_model
-from scoregate.scores import (
-    RANKING_SOURCES,
-    Ranking,
-    analytic_grads,
-    extract_ranking,
-    init_scores,
-)
+from scoregate.explain import RANKING_SOURCES, Ranking, extract_ranking
+from scoregate.models import Model, ModelConfig, analytic_grads, build_model, init_scores
 
 
 def gated(s) -> Model:
