@@ -142,8 +142,8 @@ def gen_friedman1(n: int, sigma: float, seed: int) -> Dataset:
     quadratic terms do not induce a meaningful scalar ordering among the
     relevant features.
     """
-    if n < 1 or sigma < 0:
-        raise ValueError("need n >= 1 and sigma >= 0")
+    if n < 1 or not 0 <= sigma < math.inf:
+        raise ValueError(f"need n >= 1 and 0 <= sigma < inf, got n {n}, sigma {sigma}")
     X = np.column_stack([stream(seed, _COL, i).uniform(0.0, 1.0, size=n) for i in range(10)])
     y = friedman1_targets(X)
     if sigma > 0:
@@ -159,8 +159,8 @@ def friedman2_targets(X) -> np.ndarray:
 
 def gen_friedman2(n: int, sigma: float, seed: int) -> Dataset:
     """Four-feature regression with multiplicative interactions."""
-    if n < 1 or sigma < 0:
-        raise ValueError("need n >= 1 and sigma >= 0")
+    if n < 1 or not 0 <= sigma < math.inf:
+        raise ValueError(f"need n >= 1 and 0 <= sigma < inf, got n {n}, sigma {sigma}")
     ranges = [(0.0, 100.0), (40.0 * np.pi, 560.0 * np.pi), (0.0, 1.0), (1.0, 11.0)]
     X = np.column_stack([stream(seed, _COL, i).uniform(lo, hi, size=n)
                          for i, (lo, hi) in enumerate(ranges)])
@@ -181,6 +181,9 @@ def gen_classification(n: int, d: int, n_informative: int, n_redundant: int,
     """
     if n < 2 or n_informative < 1:
         raise ValueError("need n >= 2 and n_informative >= 1")
+    if n_redundant < 0 or n_duplicate < 0:
+        raise ValueError(f"need n_redundant >= 0 and n_duplicate >= 0, "
+                         f"got {n_redundant} and {n_duplicate}")
     if n_informative + n_redundant + n_duplicate > d:
         raise ValueError("n_informative + n_redundant + n_duplicate must be <= d")
 
@@ -198,10 +201,8 @@ def gen_classification(n: int, d: int, n_informative: int, n_redundant: int,
     for j in range(n_redundant):
         mix = stream(seed, _MIX, j).uniform(-1.0, 1.0, size=n_informative)
         columns.append(informative @ mix)
-    dup_sources = []
     for j in range(n_duplicate):
         src = int(stream(seed, _DUPLICATE, j).integers(0, n_informative))
-        dup_sources.append(src)
         columns.append(informative[:, src].copy())
     for j in range(d - len(columns)):
         columns.append(stream(seed, _COL, n_informative + n_redundant + n_duplicate + j).standard_normal(n))
@@ -358,8 +359,8 @@ def read_ground_truth(path) -> list[float]:
     values = raw["ground_truth_importance"]
     if isinstance(values, list) and any(v is None for v in values):
         raise ValueError(f"{path} carries no ground-truth importances")
-    if not isinstance(values, list) or not all(isinstance(v, (int, float)) for v in values):
-        raise ValueError(f"{path}: ground_truth_importance must be a list of numbers")
+    if not isinstance(values, list) or not all(type(v) in (int, float) for v in values):
+        raise ValueError(f"{path} holds a ground_truth_importance that is not a list of numbers")
     check_finite(f"{path} ground_truth_importance", np.asarray(values, dtype=np.float64),
                  axes=("feature",))
     return values

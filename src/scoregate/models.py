@@ -209,36 +209,31 @@ class Model:
     # -- serialization -----------------------------------------------------
 
     def to_dict(self) -> dict:
-        parameters = {
-            name: {"rows": arr.shape[0], "cols": arr.shape[1], "data": [float(v) for v in arr.ravel()]}
-            for name, arr in self.params.items() if name != "scores"
-        }
-        scores = None if self.scores is None else [float(v) for v in self.scores]
-        return {"config": {**vars(self.config)}, "parameters": parameters, "scores": scores}
+        """The config and each parameter, ``scores`` included, as one flat
+        row-major list; ``from_dict`` reshapes it by ``param_specs``."""
+        return {"config": {**vars(self.config)},
+                "parameters": {name: arr.ravel().tolist() for name, arr in self.params.items()}}
 
     @classmethod
     def from_dict(cls, d: dict) -> "Model":
-        if not {"config", "parameters", "scores"} <= d.keys():
-            raise ValueError(f"a model needs keys config, parameters and scores, got {sorted(d)}")
+        if d.keys() != {"config", "parameters"}:
+            raise ValueError(f"a model needs exactly the keys config and parameters, got {sorted(d)}")
         config = ModelConfig.from_dict(d["config"])
-        entries = dict(d["parameters"])
-        if d["scores"] is not None:
-            entries["scores"] = {"rows": 1, "cols": len(d["scores"]), "data": d["scores"]}
-        expected = {name: shape for name, (shape, _) in config.param_specs().items()}
-        wrong = []  # None: the file or the config has no such parameter
-        for name in sorted(entries.keys() | expected):
-            e = entries.get(name)
-            shape = None if e is None else (e["rows"], e["cols"])
-            if shape != expected.get(name):
-                wrong.append(f"{name} {shape} != {expected.get(name)}")
-            elif len(e["data"]) != shape[0] * shape[1]:
-                wrong.append(f"{name} data holds {len(e['data'])} values, not "
-                             f"{shape[0]} x {shape[1]}")
+        values = d["parameters"]
+        shapes = {name: shape for name, (shape, _) in config.param_specs().items()}
+        wrong = []
+        for name in sorted(values.keys() | shapes):
+            if name not in shapes:
+                wrong.append(f"{name} is not a parameter of this config")
+            elif name not in values:
+                wrong.append(f"{name} is missing")
+            elif len(values[name]) != shapes[name][0] * shapes[name][1]:
+                wrong.append(f"{name} holds {len(values[name])} values, "
+                             f"not {shapes[name][0]} x {shapes[name][1]}")
         if wrong:
-            raise ValueError(f"model parameters differ from the config's "
-                             f"(file != config): {', '.join(wrong)}")
-        params = {name: np.asarray(entries[name]["data"], dtype=np.float64).reshape(shape)
-                  for name, shape in expected.items()}
+            raise ValueError(f"model parameters differ from the config's: {', '.join(wrong)}")
+        params = {name: np.asarray(values[name], dtype=np.float64).reshape(shape)
+                  for name, shape in shapes.items()}
         bad = sorted(name for name, arr in params.items() if not np.isfinite(arr).all())
         if bad:  # predict would return NaN for them without an error
             raise ad.NumericError(f"model parameters must be finite: {', '.join(bad)}")

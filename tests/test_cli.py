@@ -132,6 +132,22 @@ def test_gen_bad_args_exit_one(tmp_path):
                  "--out", str(tmp_path / "x.csv")]) == 1
 
 
+@pytest.mark.parametrize("flags, reason", [
+    (["--dataset", "clf", "--n", "400", "--d", "8", "--informative", "3", "--redundant", "-1"],
+     "need n_redundant >= 0 and n_duplicate >= 0, got -1 and 0"),
+    (["--dataset", "clf", "--n", "400", "--d", "8", "--informative", "3", "--duplicates", "-1"],
+     "need n_redundant >= 0 and n_duplicate >= 0, got 0 and -1"),
+    (["--dataset", "friedman1", "--sigma", "inf"], "0 <= sigma < inf, got n 1000, sigma inf"),
+    (["--dataset", "friedman2", "--sigma", "nan"], "0 <= sigma < inf, got n 1000, sigma nan"),
+], ids=["redundant", "duplicates", "sigma-inf", "sigma-nan"])
+def test_gen_names_a_count_or_sigma_that_would_write_a_wrong_dataset(flags, reason, tmp_path,
+                                                                     capsys):
+    out = tmp_path / "x.csv"
+    assert main(["gen", *flags, "--seed", "0", "--out", str(out)]) == 1
+    assert reason in capsys.readouterr().err
+    assert not out.exists() and not out.with_suffix(".sidecar.json").exists()
+
+
 # --- train ----------------------------------------------------------------------
 
 
@@ -345,7 +361,7 @@ def test_shap_rejects_an_empty_explanation(samples, workdir, tmp_path, capsys):
 @pytest.mark.parametrize("content, reason", [
     ("[1, 2]", "'list' object has no attribute 'keys'"),
     ("not json", "Expecting value: line 1 column 1"),
-    ("report", "a model needs keys config, parameters and scores, got ['config', "),
+    ("report", "a model needs exactly the keys config and parameters, got ['config', "),
 ], ids=["json-list", "not-json", "train-report"])
 @pytest.mark.parametrize("command", ["rank", "shap"])
 def test_rank_and_shap_name_a_bad_model_file(command, content, reason, workdir, tmp_path,
@@ -544,7 +560,9 @@ def test_compare_rejects_a_bad_ranking_file(bad, reason, workdir, tmp_path, caps
      "ground_truth_importance holds a non-finite value at feature 2"),
     (lambda sc: {**sc, "ground_truth_importance": [0.2, 0.3, 0.1, 0.05, 0.5, 0.0, -math.inf]},
      "ground_truth_importance holds a non-finite value at feature 6"),
-], ids=["no-key", "json-list", "not-json", "null", "nan", "inf"])
+    (lambda sc: {**sc, "ground_truth_importance": [True, False, 1, 0, 1, 0, 0]},
+     "holds a ground_truth_importance that is not a list of numbers"),
+], ids=["no-key", "json-list", "not-json", "null", "nan", "inf", "booleans"])
 @pytest.mark.parametrize("command", ["train", "compare"])
 def test_train_and_compare_name_a_bad_sidecar(command, sidecar, reason, workdir, tmp_path,
                                               capsys):

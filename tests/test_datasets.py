@@ -154,6 +154,14 @@ def test_friedman_rejects_bad_args():
         gen_friedman2(10, -1.0, seed=1)
 
 
+@pytest.mark.parametrize("sigma", [math.inf, math.nan, -math.inf])
+@pytest.mark.parametrize("generate", [gen_friedman1, gen_friedman2])
+def test_friedman_rejects_a_sigma_that_is_not_a_finite_scale(generate, sigma):
+    # inf wrote an all-inf target column; nan added no noise and put NaN in the sidecar
+    with pytest.raises(ValueError, match=f"0 <= sigma < inf, got n 10, sigma {sigma}"):
+        generate(10, sigma, seed=1)
+
+
 # --- gaussian classification --------------------------------------------------------
 
 
@@ -202,6 +210,15 @@ def test_gen_classification_rejects_bad_args():
         gen_classification(10, 4, 0, 0, 0, seed=0)
     with pytest.raises(ValueError):
         gen_classification(10, 4, 3, 1, 1, seed=0)  # 5 structured cols > d
+
+
+@pytest.mark.parametrize("redundant, duplicate", [(-1, 0), (0, -1), (-2, 1)])
+def test_gen_classification_rejects_a_negative_column_count(redundant, duplicate):
+    # a negative count moved the noise columns' stream index back onto an
+    # informative column's: f4 read f3's stream and the sidecar called it noise
+    with pytest.raises(ValueError, match=f"need n_redundant >= 0 and n_duplicate >= 0, "
+                                         f"got {redundant} and {duplicate}"):
+        gen_classification(400, 8, 3, redundant, duplicate, seed=0)
 
 
 # --- csv and sidecar ---------------------------------------------------------------

@@ -314,6 +314,38 @@ def test_save_load_round_trip(cfg, tmp_path):
     np.testing.assert_array_equal(back.predict(X), model.predict(X))
 
 
+@pytest.mark.parametrize("cfg", CONFIGS, ids=config_id)
+def test_a_model_file_holds_the_config_and_one_flat_list_per_parameter(cfg, tmp_path):
+    model = build_model(cfg, seed=3)
+    path = tmp_path / "model.json"
+    model.save(path)
+    raw = json.loads(path.read_text(encoding="utf-8"))
+    assert raw.keys() == {"config", "parameters"}
+    assert raw["parameters"].keys() == cfg.param_specs().keys()
+    assert ("scores" in raw["parameters"]) == cfg.gated
+    for name, values in raw["parameters"].items():
+        assert all(type(v) is float for v in values), name
+        assert values == model.params[name].ravel().tolist(), name
+
+
+@pytest.mark.parametrize("gated", [True, False], ids=["gated", "vanilla"])
+def test_load_names_the_scores_key_of_a_file_in_the_old_layout(gated, tmp_path):
+    # the old layout kept the scores under a top-level key (null when
+    # ungated) and wrote each other parameter as {"rows", "cols", "data"}
+    model = build_model(ModelConfig(d_in=3, hidden=(2,), gated=gated), seed=0)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({
+        "config": model.to_dict()["config"],
+        "parameters": {name: {"rows": arr.shape[0], "cols": arr.shape[1],
+                              "data": arr.ravel().tolist()}
+                       for name, arr in model.params.items() if name != "scores"},
+        "scores": None if model.scores is None else model.scores.tolist(),
+    }), encoding="utf-8")
+    with pytest.raises(ValueError, match=r"a model needs exactly the keys config and "
+                                         r"parameters, got \['config', 'parameters', 'scores'\]$"):
+        Model.load(path)
+
+
 def test_vanilla_model_has_no_scores(tmp_path):
     model = build_model(ModelConfig(d_in=3, hidden=(2,)), seed=0)
     assert model.scores is None
@@ -374,9 +406,9 @@ def test_load_names_an_unknown_config_key(tmp_path):
 def test_load_rejects_non_finite_parameters(name, tmp_path):
     raw, path = _saved_config(tmp_path)
     if name == "scores":
-        raw["scores"][1] = float("nan")
+        raw["parameters"]["scores"][1] = float("nan")
     else:
-        raw["parameters"][name]["data"][0] = float("inf")
+        raw["parameters"][name][0] = float("inf")
     path.write_text(json.dumps(raw), encoding="utf-8")
     with pytest.raises(ad.NumericError, match=f"must be finite: {name}"):
         Model.load(path)
@@ -392,13 +424,12 @@ def _tampered_model_file(tmp_path, gated, tamper):
 
 
 @pytest.mark.parametrize("gated, tamper, message", [
-    (True, lambda raw: raw["scores"].pop(), r"\): scores \(1, 9\) != \(1, 10\)$"),
-    (False, lambda raw: raw.update(scores=[0.0] * 10), r"\): scores \(1, 10\) != None$"),
-    (True, lambda raw: raw["parameters"].pop("b1"), r"\): b1 None != \(1, 3\)$"),
-    (False, lambda raw: raw["parameters"]["W1"].update(rows=3, data=[0.5] * 9),
-     r"\): W1 \(3, 3\) != \(4, 3\)$"),
-    (False, lambda raw: raw["parameters"]["W0"]["data"].pop(),
-     r"\): W0 data holds 39 values, not 10 x 4$"),
+    (True, lambda raw: raw["parameters"]["scores"].pop(), r": scores holds 9 values, not 1 x 10$"),
+    (False, lambda raw: raw["parameters"].update(scores=[0.0] * 10),
+     r": scores is not a parameter of this config$"),
+    (True, lambda raw: raw["parameters"].pop("b1"), r": b1 is missing$"),
+    (False, lambda raw: raw["parameters"].update(W1=[0.5] * 9), r": W1 holds 9 values, not 4 x 3$"),
+    (False, lambda raw: raw["parameters"]["W0"].pop(), r": W0 holds 39 values, not 10 x 4$"),
 ], ids=["nine-scores", "scores-on-vanilla", "missing-b1", "short-W1", "short-W0-data"])
 def test_load_checks_parameters_against_the_config(gated, tamper, message, tmp_path):
     with pytest.raises(ValueError, match=message):

@@ -6,6 +6,7 @@ import re
 from pathlib import Path
 
 from scoregate.cli import main
+from scoregate.models import Model
 
 _PATH = Path(__file__).resolve().parents[1] / "tools" / "pipeline_digest.py"
 _spec = importlib.util.spec_from_file_location("pipeline_digest", _PATH)
@@ -17,12 +18,13 @@ def test_digest_covers_every_artifact_without_its_volatile_keys(tmp_path, monkey
     monkeypatch.delenv("SCOREGATE_SEED", raising=False)
     for side in "ab":
         (tmp_path / side).mkdir()
-    first = pipeline_digest.artifacts(main, tmp_path / "a")
+    first = pipeline_digest.artifacts(main, Model.load, tmp_path / "a")
     stems = ["gated", "lam", "vanilla", "att", "f1-model"]
     expected = {"synth.csv", "synth.sidecar.json", "synth.manifest.json",
                 "f1.csv", "f1.sidecar.json", "f1.manifest.json",
                 "rank-vanilla.stderr", "trajectory.csv", "trajectory.manifest.json"}
     expected |= {f"{stem}.json" for stem in stems} | {f"{stem}.manifest.json" for stem in stems}
+    expected |= {f"{stem}.params" for stem in stems}
     expected |= {f"{stem.removesuffix('-model')}-report.json" for stem in stems}
     for out in ("rank", "rank-att", "rank-f1", "shap", "shap-att", "compare",
                 "stability", "stability-att"):
@@ -30,6 +32,12 @@ def test_digest_covers_every_artifact_without_its_volatile_keys(tmp_path, monkey
     assert sorted(first) == sorted(expected)
     assert first["rank-vanilla.stderr"] == (b"error: model has no score gate to rank "
                                             b"features with; train with --model scores\n")
+
+    # a .params artifact is each decoded parameter's name and float64 bytes, in name order
+    att = Model.load(tmp_path / "a" / "att.json").params
+    assert first["att.params"] == b"".join(
+        name.encode() + att[name].tobytes() for name in sorted(att))
+    assert first["att.params"].startswith(b"emb") and b"scores" in first["att.params"]
 
     # the files hold the keys; what is hashed does not, and is valid up to them
     raw = (tmp_path / "a" / "rank.manifest.json").read_text(encoding="utf-8")
@@ -40,4 +48,4 @@ def test_digest_covers_every_artifact_without_its_volatile_keys(tmp_path, monkey
     assert first["rank.manifest.json"] == re.sub(r'  "cwd": "[^"]*",\n', "", raw).encode()
 
     # a second run elsewhere gives the same bytes
-    assert pipeline_digest.artifacts(main, tmp_path / "b") == first
+    assert pipeline_digest.artifacts(main, Model.load, tmp_path / "b") == first

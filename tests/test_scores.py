@@ -201,13 +201,13 @@ def test_a_gated_model_rejects_empty_or_non_finite_scores():
     # and neither the init nor a model file puts a NaN or an inf in one
     with pytest.raises(ValueError, match="d_in must be >= 1"):
         ModelConfig(d_in=0, gated=True)
-    model = gated([0.5, 1.0])
+    raw = gated([0.5, 1.0]).to_dict()
     for bad in (np.inf, np.nan):
         with pytest.raises(ValueError, match="score_init_values holds a non-finite value "
                                              "at feature 0"):
             gated([bad, 0.0])
         with pytest.raises(ad.NumericError, match="model parameters must be finite: scores"):
-            Model.from_dict({**model.to_dict(), "scores": [bad, 0.0]})
+            Model.from_dict({**raw, "parameters": {**raw["parameters"], "scores": [bad, 0.0]}})
 
 
 @given(st.lists(st.floats(-30, 30), min_size=1, max_size=10),

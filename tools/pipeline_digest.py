@@ -12,10 +12,13 @@ It runs in one process, in a temporary directory, with relative paths, so no
 artifact names where it ran. Before hashing, every JSON artifact loses its
 ``*_ms`` keys and its manifest ``cwd`` (each key with its value and what
 follows it up to the next key), the only fields that differ between two equal
-runs; every other byte is hashed as written. BLAS is pinned to one thread.
-``--src`` imports the package from another checkout's ``src`` directory (a
-parent commit's, say). ``diff`` of the output for two checkouts is empty when
-their artifacts are byte-identical.
+runs; every other byte is hashed as written. Each model file also gets a
+``<stem>.params`` line: the name and float64 bytes of every parameter that
+``Model.load`` decodes from it, in name order, so a change of the file's
+layout can be shown to move no number. BLAS is pinned to one thread.
+``--src`` imports the package, ``Model.load`` included, from another
+checkout's ``src`` directory (a parent commit's, say). ``diff`` of the output
+for two checkouts is empty when their artifacts are byte-identical.
 """
 
 from __future__ import annotations
@@ -33,6 +36,8 @@ import re
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 _FIT = ["--hidden", "8", "--epochs", "30", "--lr", "0.01", "--batch-size", "32"]
 _SHAP = ["--samples", "20", "--coalitions", "256"]
@@ -79,10 +84,11 @@ PIPELINE = [
 _VOLATILE = re.compile(rb'"(?:[^"\\]*_ms|cwd)": (?:"(?:[^"\\]|\\.)*"|[^,}\s]+),?\s*')
 
 
-def artifacts(main, workdir: Path) -> dict[str, bytes]:
+def artifacts(main, load, workdir: Path) -> dict[str, bytes]:
     """Run ``PIPELINE`` through the CLI's ``main`` in ``workdir``; every file
     it leaves there and every failing step's stderr, by name, the JSON ones
-    stripped of ``*_ms`` and ``cwd``."""
+    stripped of ``*_ms`` and ``cwd``, and each model's parameters as ``load``
+    decodes them."""
     out, caller = {}, os.getcwd()
     os.chdir(workdir)
     try:
@@ -94,6 +100,12 @@ def artifacts(main, workdir: Path) -> dict[str, bytes]:
                 raise RuntimeError(f"{' '.join(argv)} exited {got}, not {code}: {err.getvalue()}")
             if code:
                 out[Path(argv[argv.index("--out") + 1]).stem + ".stderr"] = err.getvalue().encode()
+            if "--out-model" in argv:
+                model_path = argv[argv.index("--out-model") + 1]
+                params = load(model_path).params
+                out[Path(model_path).stem + ".params"] = b"".join(
+                    name.encode() + np.asarray(params[name], dtype=np.float64).tobytes()
+                    for name in sorted(params))
     finally:
         os.chdir(caller)
     for path in sorted(workdir.iterdir()):
@@ -109,9 +121,10 @@ def main() -> None:
     sys.path.insert(0, args.src)
     os.environ.pop("SCOREGATE_SEED", None)
     from scoregate.cli import main as cli_main
+    from scoregate.models import Model
 
     with tempfile.TemporaryDirectory(prefix="pipeline-digest-") as tmp:
-        for name, blob in artifacts(cli_main, Path(tmp)).items():
+        for name, blob in artifacts(cli_main, Model.load, Path(tmp)).items():
             print(f"{hashlib.sha256(blob).hexdigest()}  {name}")
 
 
