@@ -218,12 +218,6 @@ def _load(path, what: str, from_dict):
         raise ValueError(f"{path} holds no valid {what}: {exc}") from None
 
 
-def _json_object(raw) -> dict:
-    if not isinstance(raw, dict):
-        raise TypeError(f"it holds a JSON {type(raw).__name__}, not an object")
-    return raw
-
-
 def cmd_rank(args) -> int:
     model = _load(args.model, "model", Model.from_dict)
     t0 = time.perf_counter()
@@ -373,7 +367,7 @@ def _scores_trajectory(raw) -> list[dict]:
     """A report's ``scores_trajectory``, every entry checked before any is
     used: an integer ``epoch`` and a non-empty ``scores`` list of finite
     numbers as long as the first entry's."""
-    trajectory = _json_object(raw).get("scores_trajectory") or []
+    trajectory = data.json_object(raw).get("scores_trajectory") or []
     for i, entry in enumerate(trajectory):
         where = f"scores_trajectory entry {i}"
         if not isinstance(entry, dict):
@@ -408,7 +402,7 @@ def cmd_plot(args) -> int:
 
 
 def cmd_replay(args) -> int:
-    manifest = _load(args.manifest, "manifest", _json_object)
+    manifest = _load(args.manifest, "manifest", data.json_object)
     argv = manifest.get("argv")
     if not (isinstance(argv, list) and argv and all(isinstance(a, str) for a in argv)):
         raise ValueError(f"{args.manifest} has no argv to replay: it must be a non-empty "

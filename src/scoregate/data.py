@@ -258,6 +258,14 @@ def write_json(path, obj) -> None:
     write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
+def json_object(raw, what: str = "it") -> dict:
+    """``raw`` if it is a JSON object; a TypeError says what ``what`` holds
+    otherwise."""
+    if not isinstance(raw, dict):
+        raise TypeError(f"{what} holds a JSON {type(raw).__name__}, not an object")
+    return raw
+
+
 def save_csv(ds: Dataset, path) -> None:
     """Write the dataset as UTF-8 CSV: feature columns then a final "y"."""
     with overwrite(path, newline="") as fh:

@@ -22,6 +22,7 @@ the same softmax node that gates the first layer.
 
 from __future__ import annotations
 
+import base64
 import json
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -30,7 +31,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import autodiff as ad
-from .data import SCORE_INIT, check_finite, stream, write_text
+from .data import SCORE_INIT, check_finite, json_object, stream, write_text
 
 BACKBONES = ("mlp", "attention")
 INIT_STRATEGIES = ("zero", "random-uniform", "from-values")
@@ -71,7 +72,17 @@ class ModelConfig:
     score_init_values: list[float] | None = None
 
     def __post_init__(self):
-        self.hidden = tuple(int(h) for h in self.hidden)
+        # a model file is outside input: a wrongly typed field fails by name
+        # here rather than being read as something else ("16" as (1, 6))
+        for name in ("d_in", "model_dim", "ffn_dim"):
+            _check_int(name, getattr(self, name))
+        if not isinstance(self.hidden, (list, tuple)):
+            raise TypeError(f"hidden must be a list of ints, got {self.hidden!r}")
+        for h in self.hidden:
+            _check_int("hidden", h)
+        self.hidden = tuple(self.hidden)
+        if not isinstance(self.gated, bool):
+            raise TypeError(f"gated must be true or false, got {self.gated!r}")
         if self.d_in < 1:
             raise ValueError("d_in must be >= 1")
         if self.backbone not in BACKBONES:
@@ -81,6 +92,7 @@ class ModelConfig:
         for name in ("model_dim", "ffn_dim"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        _check_score_init(self.score_init, self.score_init_values)
 
     def param_specs(self) -> dict[str, tuple[tuple[int, int], int]]:
         """Each parameter's (rows, cols) shape and the fan-in that scales its
@@ -104,6 +116,7 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
+        d = json_object(d, "config")
         expected = {f.name for f in fields(cls)}
         missing, unknown = sorted(expected - d.keys()), sorted(d.keys() - expected)
         if missing or unknown:
@@ -209,31 +222,34 @@ class Model:
     # -- serialization -----------------------------------------------------
 
     def to_dict(self) -> dict:
-        """The config and each parameter, ``scores`` included, as one flat
-        row-major list; ``from_dict`` reshapes it by ``param_specs``."""
+        """The config and each parameter, ``scores`` included, as the base64
+        text of its row-major little-endian float64 bytes; ``from_dict``
+        shapes it by ``param_specs``."""
         return {"config": {**vars(self.config)},
-                "parameters": {name: arr.ravel().tolist() for name, arr in self.params.items()}}
+                "parameters": {name: base64.b64encode(arr.astype("<f8", copy=False).tobytes())
+                               .decode("ascii") for name, arr in self.params.items()}}
 
     @classmethod
     def from_dict(cls, d: dict) -> "Model":
-        if d.keys() != {"config", "parameters"}:
+        if json_object(d, "a model").keys() != {"config", "parameters"}:
             raise ValueError(f"a model needs exactly the keys config and parameters, got {sorted(d)}")
         config = ModelConfig.from_dict(d["config"])
-        values = d["parameters"]
+        values = json_object(d["parameters"], "parameters")
         shapes = {name: shape for name, (shape, _) in config.param_specs().items()}
-        wrong = []
+        decoded, wrong = {}, []
         for name in sorted(values.keys() | shapes):
             if name not in shapes:
                 wrong.append(f"{name} is not a parameter of this config")
             elif name not in values:
                 wrong.append(f"{name} is missing")
-            elif len(values[name]) != shapes[name][0] * shapes[name][1]:
-                wrong.append(f"{name} holds {len(values[name])} values, "
-                             f"not {shapes[name][0]} x {shapes[name][1]}")
+            else:
+                try:
+                    decoded[name] = _decode(values[name], shapes[name])
+                except ValueError as exc:
+                    wrong.append(f"{name} {exc}")
         if wrong:
             raise ValueError(f"model parameters differ from the config's: {', '.join(wrong)}")
-        params = {name: np.asarray(values[name], dtype=np.float64).reshape(shape)
-                  for name, shape in shapes.items()}
+        params = {name: decoded[name] for name in shapes}
         bad = sorted(name for name, arr in params.items() if not np.isfinite(arr).all())
         if bad:  # predict would return NaN for them without an error
             raise ad.NumericError(f"model parameters must be finite: {', '.join(bad)}")
@@ -247,6 +263,37 @@ class Model:
         return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
 
 
+def _check_int(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{name} must be an int, got {value!r}")
+
+
+def _check_score_init(strategy, values) -> None:
+    """The rule ``init_scores`` and ``ModelConfig`` share: a known strategy,
+    and values given iff it is ``from-values``."""
+    if strategy not in INIT_STRATEGIES:
+        raise ValueError(f"unknown score_init {strategy!r}; expected one of "
+                         + ", ".join(INIT_STRATEGIES))
+    if (values is not None) != (strategy == "from-values"):
+        raise ValueError("score_init_values must be given iff score_init is 'from-values'")
+
+
+def _decode(value, shape: tuple[int, int]) -> np.ndarray:
+    """A parameter's writable (rows, cols) float64 array from the base64 text
+    of its little-endian float64 bytes; a ValueError says what is wrong with
+    the value, for the caller to prefix with the parameter's name."""
+    if not isinstance(value, str):
+        raise ValueError(f"is a JSON {type(value).__name__}, not a base64 string")
+    try:
+        raw = base64.b64decode(value, validate=True)
+    except ValueError:  # binascii.Error, or a non-ASCII character
+        raise ValueError("is not base64 text") from None
+    rows, cols = shape
+    if len(raw) != 8 * rows * cols:
+        raise ValueError(f"holds {len(raw)} bytes, not 8 x {rows} x {cols}")
+    return np.frombuffer(raw, "<f8").reshape(shape).astype(np.float64)
+
+
 def init_scores(d: int, strategy: str = "zero", seed: int = 0,
                 values=None) -> np.ndarray:
     """Create a scores vector of length ``d``.
@@ -258,10 +305,7 @@ def init_scores(d: int, strategy: str = "zero", seed: int = 0,
     """
     if d < 1:
         raise ValueError("d must be >= 1")
-    if strategy not in INIT_STRATEGIES:
-        raise ValueError(f"unknown init strategy {strategy!r}")
-    if (values is not None) != (strategy == "from-values"):
-        raise ValueError("values must be supplied iff strategy is 'from-values'")
+    _check_score_init(strategy, values)
     if strategy == "zero":
         s = np.zeros(d)
     elif strategy == "random-uniform":

@@ -358,11 +358,21 @@ def test_shap_rejects_an_empty_explanation(samples, workdir, tmp_path, capsys):
     assert not out.exists()
 
 
+def _flat_lists(raw: dict) -> dict:
+    """``raw`` in the earlier layout: each parameter a flat row-major list."""
+    params = Model.from_dict(raw).params
+    return {**raw, "parameters": {name: arr.ravel().tolist() for name, arr in params.items()}}
+
+
 @pytest.mark.parametrize("content, reason", [
-    ("[1, 2]", "'list' object has no attribute 'keys'"),
+    ("[1, 2]", "a model holds a JSON list, not an object"),
     ("not json", "Expecting value: line 1 column 1"),
     ("report", "a model needs exactly the keys config and parameters, got ['config', "),
-], ids=["json-list", "not-json", "train-report"])
+    (_flat_lists, "model parameters differ from the config's: W0 is a JSON list, not a "
+                  "base64 string, W1 is a JSON list, not a base64 string, b0 is a JSON list"),
+    (lambda raw: {**raw, "config": {**raw["config"], "gated": "false"}},
+     "gated must be true or false, got 'false'"),
+], ids=["json-list", "not-json", "train-report", "flat-lists", "gated-string"])
 @pytest.mark.parametrize("command", ["rank", "shap"])
 def test_rank_and_shap_name_a_bad_model_file(command, content, reason, workdir, tmp_path,
                                              capsys):
@@ -370,6 +380,8 @@ def test_rank_and_shap_name_a_bad_model_file(command, content, reason, workdir, 
         path = workdir["report"]
     else:
         path = tmp_path / "bad.json"
+        if callable(content):  # an edit of the trained model's file
+            content = json.dumps(content(read_json(workdir["model"])))
         path.write_text(content, encoding="utf-8")
     out = tmp_path / "out.json"
     extra = ["--data", str(workdir["csv"]), "--samples", "2"] if command == "shap" else []

@@ -9,8 +9,10 @@ graph on the new batch.
 """
 
 import ast
+import base64
 import json
 import math
+import re
 import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
@@ -314,8 +316,13 @@ def test_save_load_round_trip(cfg, tmp_path):
     np.testing.assert_array_equal(back.predict(X), model.predict(X))
 
 
+def _b64(values) -> str:
+    """The base64 text of ``values`` as little-endian float64 bytes."""
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
+
+
 @pytest.mark.parametrize("cfg", CONFIGS, ids=config_id)
-def test_a_model_file_holds_the_config_and_one_flat_list_per_parameter(cfg, tmp_path):
+def test_a_model_file_holds_one_base64_float64_string_per_parameter(cfg, tmp_path):
     model = build_model(cfg, seed=3)
     path = tmp_path / "model.json"
     model.save(path)
@@ -323,9 +330,44 @@ def test_a_model_file_holds_the_config_and_one_flat_list_per_parameter(cfg, tmp_
     assert raw.keys() == {"config", "parameters"}
     assert raw["parameters"].keys() == cfg.param_specs().keys()
     assert ("scores" in raw["parameters"]) == cfg.gated
-    for name, values in raw["parameters"].items():
-        assert all(type(v) is float for v in values), name
-        assert values == model.params[name].ravel().tolist(), name
+    for name, text in raw["parameters"].items():
+        assert isinstance(text, str) and text.isascii(), name
+        (rows, cols), _ = cfg.param_specs()[name]
+        decoded = base64.b64decode(text, validate=True)
+        assert len(decoded) == 8 * rows * cols, name
+        assert decoded == model.params[name].astype("<f8").tobytes(), name
+
+
+_EXTREMES = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+             1.7976931348623157e308, -1.7976931348623157e308, 1.0]
+
+
+@pytest.mark.parametrize("cfg", [CONFIGS[1], CONFIGS[4]], ids=config_id)
+@given(values=st.lists(st.one_of(st.sampled_from(_EXTREMES),
+                                 st.floats(allow_nan=False, allow_infinity=False)),
+                       min_size=1, max_size=150))
+@settings(max_examples=25, deadline=None)
+@example(values=_EXTREMES)
+def test_save_load_keeps_every_bit_of_every_parameter(cfg, tmp_path_factory, values):
+    # ``values`` cycles through every parameter, in param_specs order
+    model = build_model(cfg, seed=0)
+    flat = np.resize(np.asarray(values, dtype=np.float64),
+                     sum(arr.size for arr in model.params.values()))
+    start = 0
+    for arr in model.params.values():
+        arr[...] = flat[start:start + arr.size].reshape(arr.shape)
+        start += arr.size
+    path = tmp_path_factory.mktemp("round-trip") / "model.json"
+    model.save(path)
+    back = Model.load(path)
+    assert back.params.keys() == model.params.keys()
+    for name, arr in back.params.items():
+        assert arr.dtype == np.float64 and arr.shape == model.params[name].shape, name
+        assert arr.flags.writeable and arr.flags.c_contiguous, name
+        np.testing.assert_array_equal(arr.view(np.uint64), model.params[name].view(np.uint64))
+    X = np.linspace(-1.0, 1.0, 2 * cfg.d_in).reshape(2, cfg.d_in)
+    with np.errstate(all="ignore"):  # extreme weights overflow to inf or NaN
+        np.testing.assert_array_equal(back.predict(X), model.predict(X))
 
 
 @pytest.mark.parametrize("gated", [True, False], ids=["gated", "vanilla"])
@@ -372,7 +414,10 @@ def _other_value(value):
 @pytest.mark.parametrize("name", [f.name for f in fields(ModelConfig)])
 def test_every_config_field_survives_save_load(name, tmp_path):
     base = ModelConfig(d_in=4)
-    cfg = replace(base, **{name: _other_value(getattr(base, name))})
+    changes = {name: _other_value(getattr(base, name))}
+    if name == "score_init_values":  # values are given iff the init copies them
+        changes["score_init"] = "from-values"
+    cfg = replace(base, **changes)
     assert getattr(cfg, name) != getattr(base, name)
     path = tmp_path / "model.json"
     build_model(cfg, seed=0).save(path)
@@ -402,13 +447,53 @@ def test_load_names_an_unknown_config_key(tmp_path):
         Model.load(path)
 
 
+@pytest.mark.parametrize("field, value, error, message", [
+    ("gated", "false", TypeError, "gated must be true or false, got 'false'"),
+    ("gated", 1, TypeError, "gated must be true or false, got 1"),
+    ("score_init", "bogus", ValueError, "unknown score_init 'bogus'; expected one of zero, "
+                                        "random-uniform, from-values"),
+    ("score_init", "from-values", ValueError,
+     "score_init_values must be given iff score_init is 'from-values'"),
+    ("score_init_values", [0.5, 1.0, 2.0], ValueError,
+     "score_init_values must be given iff score_init is 'from-values'"),
+    ("hidden", "16", TypeError, "hidden must be a list of ints, got '16'"),
+    ("hidden", [2.0], TypeError, "hidden must be an int, got 2.0"),
+    ("hidden", [True], TypeError, "hidden must be an int, got True"),
+    ("d_in", True, TypeError, "d_in must be an int, got True"),
+    ("d_in", 3.0, TypeError, "d_in must be an int, got 3.0"),
+    ("model_dim", "16", TypeError, "model_dim must be an int, got '16'"),
+    ("ffn_dim", None, TypeError, "ffn_dim must be an int, got None"),
+], ids=["gated-string", "gated-int", "score_init-bogus", "from-values-without-values",
+        "values-without-from-values", "hidden-string", "hidden-float", "hidden-bool",
+        "d_in-bool", "d_in-float", "model_dim-string", "ffn_dim-null"])
+def test_load_names_a_wrongly_typed_config_field(field, value, error, message, tmp_path):
+    raw, path = _saved_config(tmp_path)
+    raw["config"][field] = value
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        Model.load(path)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda raw: [raw], "a model holds a JSON list, not an object"),
+    (lambda raw: {**raw, "config": list(raw["config"].items())},
+     "config holds a JSON list, not an object"),
+    (lambda raw: {**raw, "parameters": list(raw["parameters"].values())},
+     "parameters holds a JSON list, not an object"),
+], ids=["file", "config", "parameters"])
+def test_load_names_a_part_that_is_not_a_json_object(edit, message, tmp_path):
+    raw, path = _saved_config(tmp_path)
+    path.write_text(json.dumps(edit(raw)), encoding="utf-8")
+    with pytest.raises(TypeError, match=f"^{message}$"):
+        Model.load(path)
+
+
 @pytest.mark.parametrize("name", ["scores", "W0"])
 def test_load_rejects_non_finite_parameters(name, tmp_path):
     raw, path = _saved_config(tmp_path)
-    if name == "scores":
-        raw["parameters"]["scores"][1] = float("nan")
-    else:
-        raw["parameters"][name][0] = float("inf")
+    values = Model.from_dict(raw).params[name].ravel()
+    values[-1] = float("nan") if name == "scores" else float("inf")
+    raw["parameters"][name] = _b64(values)
     path.write_text(json.dumps(raw), encoding="utf-8")
     with pytest.raises(ad.NumericError, match=f"must be finite: {name}"):
         Model.load(path)
@@ -416,24 +501,49 @@ def test_load_rejects_non_finite_parameters(name, tmp_path):
 
 def _tampered_model_file(tmp_path, gated, tamper):
     path = tmp_path / "model.json"
-    build_model(ModelConfig(d_in=10, hidden=(4, 3), gated=gated), seed=0).save(path)
+    model = build_model(ModelConfig(d_in=10, hidden=(4, 3), gated=gated), seed=0)
+    model.save(path)
     raw = json.loads(path.read_text(encoding="utf-8"))
-    tamper(raw)
+    tamper(raw, {name: arr.ravel() for name, arr in model.params.items()})
     path.write_text(json.dumps(raw), encoding="utf-8")
     return path
 
 
+def _set(name, values):
+    """A tamper that stores ``values(params)`` as parameter ``name``."""
+    def tamper(raw, params):
+        raw["parameters"][name] = _b64(values(params))
+    return tamper
+
+
 @pytest.mark.parametrize("gated, tamper, message", [
-    (True, lambda raw: raw["parameters"]["scores"].pop(), r": scores holds 9 values, not 1 x 10$"),
-    (False, lambda raw: raw["parameters"].update(scores=[0.0] * 10),
-     r": scores is not a parameter of this config$"),
-    (True, lambda raw: raw["parameters"].pop("b1"), r": b1 is missing$"),
-    (False, lambda raw: raw["parameters"].update(W1=[0.5] * 9), r": W1 holds 9 values, not 4 x 3$"),
-    (False, lambda raw: raw["parameters"]["W0"].pop(), r": W0 holds 39 values, not 10 x 4$"),
+    (True, _set("scores", lambda p: p["scores"][:-1]), r": scores holds 72 bytes, not 8 x 1 x 10$"),
+    (False, _set("scores", lambda p: [0.0] * 10), r": scores is not a parameter of this config$"),
+    (True, lambda raw, p: raw["parameters"].pop("b1"), r": b1 is missing$"),
+    (False, _set("W1", lambda p: [0.5] * 9), r": W1 holds 72 bytes, not 8 x 4 x 3$"),
+    (False, _set("W0", lambda p: p["W0"][:-1]), r": W0 holds 312 bytes, not 8 x 10 x 4$"),
 ], ids=["nine-scores", "scores-on-vanilla", "missing-b1", "short-W1", "short-W0-data"])
 def test_load_checks_parameters_against_the_config(gated, tamper, message, tmp_path):
     with pytest.raises(ValueError, match=message):
         Model.load(_tampered_model_file(tmp_path, gated, tamper))
+
+
+@pytest.mark.parametrize("tamper, message", [
+    (lambda raw, p: raw["parameters"].update({name: v.tolist() for name, v in p.items()}),
+     r": W0 is a JSON list, not a base64 string, W1 is a JSON list, not a base64 string, "
+     r"W2 is a JSON list, .* scores is a JSON list, not a base64 string$"),
+    (lambda raw, p: raw["parameters"].update(b0=raw["parameters"]["b0"][:-4] + "AA*="),
+     r": b0 is not base64 text$"),
+    (lambda raw, p: raw["parameters"].update(b2=raw["parameters"]["b2"] + "\n"),
+     r": b2 is not base64 text$"),
+    (lambda raw, p: raw["parameters"].update(W2=_b64(p["W2"]) + "AAAAAAAAAAA="),
+     r": W2 holds 32 bytes, not 8 x 3 x 1$"),
+    (lambda raw, p: raw["parameters"].update(b1=None), r": b1 is a JSON NoneType, not a base64 string$"),
+], ids=["flat-lists", "non-base64-char", "newline", "extra-bytes", "null"])
+def test_load_names_each_malformed_parameter(tamper, message, tmp_path):
+    # flat-lists: the layout of earlier model files, which must be re-trained
+    with pytest.raises(ValueError, match=r"^model parameters differ from the config's" + message):
+        Model.load(_tampered_model_file(tmp_path, True, tamper))
 
 
 @pytest.mark.parametrize("cfg", CONFIGS, ids=config_id)

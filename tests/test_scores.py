@@ -8,6 +8,7 @@ form ``x @ (w[:, None] * W)`` the models train. The gate weights a model reads,
 ``Model.gate_weights``, are cross-checked against a 50-digit mpmath reference.
 """
 
+import base64
 import itertools
 import json
 import math
@@ -207,7 +208,8 @@ def test_a_gated_model_rejects_empty_or_non_finite_scores():
                                              "at feature 0"):
             gated([bad, 0.0])
         with pytest.raises(ad.NumericError, match="model parameters must be finite: scores"):
-            Model.from_dict({**raw, "parameters": {**raw["parameters"], "scores": [bad, 0.0]}})
+            scores = base64.b64encode(np.array([bad, 0.0], dtype="<f8").tobytes()).decode()
+            Model.from_dict({**raw, "parameters": {**raw["parameters"], "scores": scores}})
 
 
 @given(st.lists(st.floats(-30, 30), min_size=1, max_size=10),
