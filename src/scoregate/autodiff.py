@@ -8,7 +8,7 @@ forward at once. ``recompute`` re-runs the forward pass from the current leaf
 values, ``backward`` applies the gradient rules from a scalar loss down to its
 trainable leaves, and ``grad_check`` checks them against central finite
 differences. ``models.NUMPY_OPS`` runs the same forwards on plain arrays, and
-the forwards ``bce``/``mse``/``entropy`` give the training metrics.
+the forwards ``bce``/``mse`` give the training metrics.
 
 Leaves come in two kinds. A ``leaf`` is trainable: ``backward`` returns its
 gradient. A ``constant`` (data, targets, fixed matrices) never takes one, and
@@ -187,12 +187,6 @@ def mse(p: np.ndarray, t: np.ndarray) -> float:
     return float(_mean((p - t) ** 2))
 
 
-def entropy(w: np.ndarray) -> np.ndarray:
-    """Entropy -sum(w ln w) of each row of weights as an (..., 1) column; the
-    log's argument is clipped at 1e-300, so a weight that underflowed adds 0."""
-    return -np.add.reduce(w * np.log(np.maximum(w, 1e-300)), -1, keepdims=True)
-
-
 def _dense(x, W, b, relu=False):
     out = x @ W  # a new array, so the bias and the relu write into it
     out += b
@@ -246,8 +240,6 @@ OPS = {
     "reshape": _Op(np.reshape, (lambda g, out, shape, a: g.reshape(a.shape),), "shape"),
     "softmax_rows": _Op(_stable_softmax_rows, (
         lambda g, w, aux, a: w * (g - np.add.reduce(g * w, -1, keepdims=True)),)),
-    "entropy_rows": _Op(entropy, (
-        lambda g, h, aux, w: -g * (np.log(np.maximum(w, 1e-300)) + 1.0),)),
     "sigmoid": _Op(_stable_sigmoid, (lambda g, y, aux, a: g * y * (1.0 - y),)),
     "dense": _Op(_dense, (lambda g, out, relu, x, W, b: g @ W.mT,
                           lambda g, out, relu, x, W, b: _matmul_grad_b(g, out, False, x, W),
@@ -307,11 +299,6 @@ def scale_rows(W: Node, w: Node) -> Node:
 
 def softmax_rows(a: Node) -> Node:
     return _node("softmax_rows", a)
-
-
-def entropy_rows(a: Node) -> Node:
-    """The ``entropy`` of each row of weights, such as a ``softmax_rows`` output."""
-    return _node("entropy_rows", a)
 
 
 def sigmoid(a: Node) -> Node:

@@ -4,7 +4,8 @@ baselines, comparisons, stability experiments, and plot-data export.
 Every command writes a run manifest next to its primary output, built from
 the parsed arguments; ``replay`` re-executes a manifest's resolved argument
 vector from the working directory it was recorded in, reproducing the
-artifacts. Exit codes: 0 success, 1 runtime failure, 2 usage error. The
+artifacts. Exit codes: 0 success, 1 runtime failure, 2 usage error; a replayed
+argv that the parser rejects is the manifest's failure, so it exits 1. The
 ``SCOREGATE_SEED`` environment variable overrides the built-in default seed
 wherever ``--seed`` (``--base-seed`` for ``stability``) is not given
 explicitly.
@@ -187,8 +188,7 @@ def cmd_train(args) -> int:
         gated=args.model == "scores", score_init=init_map[args.init],
         score_init_values=init_values,
     )
-    model, report = _fit(ds, config, args.seed, args, penalty_lam=args.lam,
-                         record_every=args.record_every)
+    model, report = _fit(ds, config, args.seed, args, record_every=args.record_every)
 
     model.save(args.out_model)
     payload = report.to_dict()
@@ -409,6 +409,11 @@ def cmd_replay(args) -> int:
                          f"list of strings, got {argv!r}")
     if argv[0] == "replay":  # no command records one; it could only replay itself
         raise ValueError(f"{args.manifest} records a replay, which replay does not re-run")
+    try:  # before anything runs, so a rejected argv writes nothing
+        _parser().parse_args(argv)
+    except _Rejected as exc:
+        raise ValueError(f"{args.manifest} records arguments that {exc.parser.prog} "
+                         f"rejects: {exc}") from None
     caller = os.getcwd()
     cwd = manifest.get("cwd", caller)  # manifests from before cwd was recorded
     print(f"replaying in {cwd}: {' '.join(argv)}")
@@ -422,8 +427,23 @@ def cmd_replay(args) -> int:
 # -- parser -------------------------------------------------------------------------
 
 
+class _Rejected(Exception):
+    """An argument vector the parser rejects, with the (sub)parser that
+    rejected it: ``main`` prints that parser's usage and exits 2, as argparse
+    does, and ``replay`` fails naming the manifest that recorded the vector."""
+
+    def __init__(self, parser: argparse.ArgumentParser, message: str):
+        super().__init__(message)
+        self.parser = parser
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # subparsers are built as this class too
+        raise _Rejected(self, message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="scoregate",
         description="Train softmax-gated feature-scoring models and compare their "
                     "rankings against Shapley baselines.")
@@ -455,7 +475,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch-size", type=int, default=32, help="0 trains full-batch")
     p.add_argument("--init", choices=["zero", "random", "gt"], default="zero")
     p.add_argument("--init-values", default=None, help="sidecar JSON for --init gt")
-    p.add_argument("--lam", type=float, default=0.0, help="gate-entropy penalty weight")
     p.add_argument("--record-every", type=int, default=100)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out-model", required=True)
@@ -515,7 +534,10 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    try:
+        args = _parser().parse_args(argv)
+    except _Rejected as exc:  # usage errors -> exit 2, with argparse's own usage and message
+        argparse.ArgumentParser.error(exc.parser, str(exc))
     try:
         for dest in ("seed", "base_seed"):
             if hasattr(args, dest):

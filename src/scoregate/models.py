@@ -16,8 +16,6 @@ parameter arrays, a plain numpy fast path for inference and Shapley sampling.
 ``NUMPY_OPS`` holds the forwards of ``autodiff.OPS`` themselves, so both routes
 do the same arithmetic and give bit-identical outputs. Training updates the
 ``params`` arrays in place, and the graph's parameter leaves alias them.
-``loss_graph`` builds the whole training loss: a gate-entropy penalty reads
-the same softmax node that gates the first layer.
 """
 
 from __future__ import annotations
@@ -148,11 +146,10 @@ class Model:
         return ad._stable_softmax_rows(self.scores)
 
     def _forward(self, ops, x, params):
-        """The backbone's forward pass from (n, d_in) inputs: the (n, 1)
-        sigmoid output and the (1, d_in) gate weights (None if ungated);
-        ``ops`` is ``autodiff`` on graph nodes or ``NUMPY_OPS`` on arrays."""
+        """The backbone's forward pass from (n, d_in) inputs to the (n, 1)
+        sigmoid output; ``ops`` is ``autodiff`` on graph nodes or
+        ``NUMPY_OPS`` on arrays."""
         cfg = self.config
-        gate = None
         if cfg.gated:  # (x * w) @ W0 = x @ (w.mT * W0): scale the weight's rows, not x
             first = "W0" if cfg.backbone == "mlp" else "emb"
             gate = ops.softmax_rows(params["scores"])
@@ -161,7 +158,7 @@ class Model:
             n_layers = len(cfg.hidden) + 1
             for i in range(n_layers):
                 x = ops.dense(x, params[f"W{i}"], params[f"b{i}"], relu=i < n_layers - 1)
-            return ops.sigmoid(x), gate
+            return ops.sigmoid(x)
         # single-head self-attention with residual, then a 2-layer feed-forward
         # with residual, over an (n, d, model_dim) stack of one token per
         # feature. The calls are nested so that each (n, d, .) intermediate is
@@ -177,15 +174,11 @@ class Model:
             ops.dense(tokens, p["fw1"], p["fb1"], relu=True), p["fw2"], p["fb2"]))
         # the mean over each sample's d tokens, as a (1, d) row of 1/d
         pooled = ops.reshape(ops.matmul(ops.constant(np.full((1, d), 1.0 / d)), tokens), (-1, m))
-        return ops.sigmoid(ops.dense(pooled, p["head_w"], p["head_b"])), gate
+        return ops.sigmoid(ops.dense(pooled, p["head_w"], p["head_b"]))
 
-    def loss_graph(self, X: np.ndarray, y: np.ndarray, loss_kind: str,
-                   penalty_lam: float = 0.0) \
+    def loss_graph(self, X: np.ndarray, y: np.ndarray, loss_kind: str) \
             -> tuple[ad.Node, ad.Node, dict[str, ad.Node], DataLeaves]:
-        """Build the training loss node over a batch: the ``loss_kind`` loss,
-        plus ``penalty_lam`` times the gate weights' entropy when
-        ``penalty_lam`` is above 0, which needs a gated model (checked before
-        any node is built).
+        """Build the training loss node, the ``loss_kind`` loss, over a batch.
 
         Returns (loss, prediction node, parameter leaves, data leaves).
         Predictions stay live across ``recompute`` calls (read them from the
@@ -197,27 +190,21 @@ class Model:
         if loss_kind not in losses:
             raise ValueError(f"unknown loss_kind {loss_kind!r}; expected "
                              + " or ".join(map(repr, losses)))
-        if penalty_lam > 0 and not self.config.gated:
-            raise ValueError("penalty_lam penalizes the gate's entropy; an ungated model has no gate")
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64).reshape(-1, 1)
         if X.shape[1] != self.config.d_in:
             raise ad.ShapeError(f"model expects {self.config.d_in} features, got {X.shape[1]}")
         x_leaf, y_leaf = ad.constant(X), ad.constant(y)
         leaves = {name: ad.leaf(arr) for name, arr in self.params.items()}
-        pred, gate = self._forward(ad, x_leaf, leaves)
-        loss = losses[loss_kind](pred, y_leaf)
-        if penalty_lam > 0:
-            loss = ad.add(loss, ad.scale(ad.entropy_rows(gate), penalty_lam))
-        return loss, pred, leaves, DataLeaves(x_leaf, y_leaf)
+        pred = self._forward(ad, x_leaf, leaves)
+        return losses[loss_kind](pred, y_leaf), pred, leaves, DataLeaves(x_leaf, y_leaf)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Batch predictions in (0, 1); pure numpy, no graph construction."""
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.config.d_in:
             raise ad.ShapeError(f"model expects (n, {self.config.d_in}) inputs, got {X.shape}")
-        pred, _ = self._forward(NUMPY_OPS, X, self.params)
-        return pred[:, 0]
+        return self._forward(NUMPY_OPS, X, self.params)[:, 0]
 
     # -- serialization -----------------------------------------------------
 

@@ -2,11 +2,10 @@
 
 The batch graph is built once per fit and successive batches are fed in by
 swapping the data-leaf values, so no graph reconstruction happens inside the
-loop. ``Model.loss_graph`` builds that graph's whole loss, the gate-entropy
-penalty included, so ``backward`` gives every gradient Adam applies, writing
-each into a view of Adam's one flat gradient vector. Epoch
-metrics are computed on the full training set with the parameters as they
-stand *before* that epoch's updates.
+loop. ``Model.loss_graph`` builds that graph's loss, and ``backward`` gives
+every gradient Adam applies, writing each into a view of Adam's one flat
+gradient vector. Epoch metrics are computed on the full training set with the
+parameters as they stand *before* that epoch's updates.
 """
 
 from __future__ import annotations
@@ -43,7 +42,6 @@ class TrainConfig:
     lr: float = 0.001
     batch_size: int | None = 32  # None trains full-batch
     shuffle_seed: int = 0
-    penalty_lam: float = 0.0  # the gate-entropy penalty's weight; 0 turns it off
     record_every: int = 100
 
     def __post_init__(self):
@@ -53,8 +51,6 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1 (or None for full batch)")
         if not 0 < self.lr < math.inf:  # these comparisons reject NaN too
             raise ValueError(f"lr must be finite and > 0, got {self.lr}")
-        if not 0 <= self.penalty_lam < math.inf:
-            raise ValueError(f"penalty_lam must be >= 0 and finite, got {self.penalty_lam}")
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
 
@@ -64,7 +60,6 @@ class EpochRecord:
     epoch: int
     loss: float
     accuracy: float
-    penalty: float
     test_accuracy: float | None = None
 
 
@@ -227,16 +222,10 @@ def train(model: Model, X: np.ndarray, y: np.ndarray, task: str, config: TrainCo
     full_batch = batch == n
     rng = stream(config.shuffle_seed)
 
-    loss_node, _, leaves, data_leaves = model.loss_graph(X[:batch], y_fit[:batch], loss_kind,
-                                                         config.penalty_lam)
+    loss_node, _, leaves, data_leaves = model.loss_graph(X[:batch], y_fit[:batch], loss_kind)
     adam = adam_init(model.params)  # the graph's parameter leaves alias these arrays
     for name, node in leaves.items():  # backward writes each gradient into Adam's vector
         node.grad = adam["grads"][name]
-
-    def penalty_value() -> float:
-        if config.penalty_lam == 0:
-            return 0.0
-        return config.penalty_lam * float(ad.entropy(model.gate_weights())[0])
 
     def record_scores(epoch: int) -> None:
         if gated:
@@ -249,7 +238,7 @@ def train(model: Model, X: np.ndarray, y: np.ndarray, task: str, config: TrainCo
     record_scores(0)
     for epoch in range(config.epochs):
         loss, acc, test_acc = measure()
-        report.curve.append(EpochRecord(epoch, loss, acc, penalty_value(), test_acc))
+        report.curve.append(EpochRecord(epoch, loss, acc, test_acc))
 
         order = np.arange(n) if full_batch else rng.permutation(n)
         try:

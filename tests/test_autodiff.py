@@ -169,16 +169,6 @@ def test_softmax_backward_fd():
     assert rel_err(ad.backward(loss)[s], numeric_grad(loss, s)) < 1e-6
 
 
-def test_entropy_rows_backward_fd_and_closed_form():
-    # positive weights off the simplex, so the rule's "+ 1" is seen: a softmax
-    # parent would cancel any constant added to the gradient of its row
-    W = ad.leaf(RNG.uniform(0.05, 2.0, size=(3, 4)))
-    loss = ad.mean(ad.entropy_rows(W))
-    grads = ad.backward(loss)
-    assert rel_err(grads[W], numeric_grad(loss, W)) < 1e-7
-    np.testing.assert_allclose(grads[W], -(np.log(W.value) + 1.0) / 3.0, rtol=1e-14)
-
-
 def identity_dense(x: ad.Node) -> ad.Node:
     """The relu of ``x``, as ``dense`` through a constant identity and zero
     bias: ``x @ I`` adds only exact zeros to each entry."""
@@ -418,9 +408,9 @@ def _shared_parent_losses():
     """Losses in which a node takes several gradient contributions: an
     interior node added to itself, one whose first contribution is also
     another node's whole gradient (``add`` passes its own on to both
-    parents), a leaf multiplied by itself, and the gate softmax that both
-    gates the first layer and feeds the entropy penalty; and one in which a
-    leaf's only contribution holds a -0.0."""
+    parents), a leaf multiplied by itself, and a gated MLP's and attention
+    model's training losses; and one in which a leaf's only contribution
+    holds a -0.0."""
     x = ad.constant(RNG.normal(size=(4, 3)))
     W, V = ad.leaf(RNG.normal(size=(3, 2))), ad.leaf(RNG.normal(size=(3, 2)))
     h, k = ad.sigmoid(ad.matmul(x, W)), ad.sigmoid(ad.matmul(x, V))
@@ -439,7 +429,7 @@ def _shared_parent_losses():
                           gated=True)
         X = RNG.normal(size=(9, 5))
         y = (RNG.uniform(size=9) < 0.5).astype(float)
-        yield build_model(cfg, seed=3).loss_graph(X, y, "bce", penalty_lam=0.1)[0]
+        yield build_model(cfg, seed=3).loss_graph(X, y, "bce")[0]
 
 
 def test_direct_gradient_writes_equal_zero_and_accumulate():

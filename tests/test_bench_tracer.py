@@ -44,7 +44,7 @@ def test_a_traced_fit_records_the_training_spans(tmp_path):
     _install(tracer)
     try:
         assert cli.main(["train", "--data", str(csv), "--hidden", "4", "--epochs", "2",
-                         "--batch-size", "8", "--lam", "0.1", "--seed", "0",
+                         "--batch-size", "8", "--seed", "0",
                          "--out-model", str(tmp_path / "m.json"),
                          "--out-report", str(tmp_path / "r.json")]) == 0
     finally:
@@ -54,5 +54,5 @@ def test_a_traced_fit_records_the_training_spans(tmp_path):
                  "autodiff.backward", "autodiff.topo_order", "models.loss_graph",
                  "models.DataLeaves.assign", "models.predict", "data.load_csv"):
         assert summary[name]["calls"] > 0, name
-    # the gated MLP graph with the entropy penalty: 13 nodes plus 3
-    assert tracing.layer_metrics(summary)["autodiff.graph_nodes"] == 16
+    # the gated one-hidden-layer MLP graph, as in test_each_layer_and_head_is_one_dense_node
+    assert tracing.layer_metrics(summary)["autodiff.graph_nodes"] == 13

@@ -197,21 +197,19 @@ def test_train_usage_failures(workdir, tmp_path):
 
 
 @pytest.mark.parametrize("flags, message", [
-    (["--model", "vanilla", "--lam", "5"], "an ungated model has no gate"),
     (["--init-values", "{sidecar}"], "--init-values is read only with --init gt, not --init zero"),
     (["--init", "random", "--init-values", "{sidecar}"], "not --init random"),
     (["--lr", "-1"], "lr must be finite and > 0, got -1.0"),
     (["--lr", "nan"], "lr must be finite and > 0, got nan"),
-    (["--lam", "inf"], "penalty_lam must be >= 0 and finite, got inf"),
     (["--backbone", "attention", "--hidden", "9"], "--backbone attention does not take --hidden"),
     (["--model-dim", "5"], "--backbone mlp does not take --model-dim"),
     (["--ffn-dim", "7", "--model-dim", "5"], "--backbone mlp does not take --ffn-dim, --model-dim"),
     (["--model", "vanilla", "--init", "random"], "--model vanilla does not take --init\n"),
     (["--model", "vanilla", "--init", "gt", "--init-values", "{sidecar}"],
      "--model vanilla does not take --init, --init-values"),
-], ids=["lam-on-vanilla", "init-values-alone", "init-values-with-random",
-        "negative-lr", "nan-lr", "inf-lam", "hidden-on-attention", "model-dim-on-mlp",
-        "ffn-dim-on-mlp", "init-on-vanilla", "init-gt-on-vanilla"])
+], ids=["init-values-alone", "init-values-with-random", "negative-lr", "nan-lr",
+        "hidden-on-attention", "model-dim-on-mlp", "ffn-dim-on-mlp", "init-on-vanilla",
+        "init-gt-on-vanilla"])
 def test_train_rejects_an_option_it_would_ignore(flags, message, workdir, tmp_path,
                                                  monkeypatch, capsys):
     def no_graph(*args, **kwargs):
@@ -260,7 +258,6 @@ TRAIN_OPTION_CHANGES = {
     "--batch-size": ([], "0"),
     "--init": ([], "random"),
     "--init-values": (["--init", "gt", "--init-values", "{sidecar}"], "{other_sidecar}"),
-    "--lam": ([], "0.5"),
     "--record-every": ([], "1"),
     "--seed": ([], "3"),
     "--out-model": ([], "moved.json"),
@@ -812,6 +809,28 @@ def test_replay_refuses_a_manifest_that_records_a_replay(tmp_path, capsys, monke
     assert capsys.readouterr().err == \
         f"error: {manifest} records a replay, which replay does not re-run\n"
     assert ran == []
+
+
+@pytest.mark.parametrize("flags, rejected", [
+    (["--lam", "0.0"], "--lam 0.0"),
+    (["--bogus", "1"], "--bogus 1"),
+], ids=["dropped-lam", "unknown-flag"])
+def test_replay_names_a_manifest_whose_argv_the_parser_rejects(flags, rejected, workdir,
+                                                               tmp_path, capsys):
+    # a train manifest's argv as train wrote it while it took --lam, or hand-edited
+    out_m, out_r = tmp_path / "m.json", tmp_path / "r.json"
+    argv = ["train", "--data", str(workdir["csv"]), "--model", "scores", "--backbone", "mlp",
+            "--hidden", "3", "--model-dim", "16", "--ffn-dim", "32", "--epochs", "1",
+            "--lr", "0.001", "--batch-size", "8", "--init", "zero", *flags,
+            "--record-every", "100", "--seed", "0",
+            "--out-model", str(out_m), "--out-report", str(out_r)]
+    manifest = tmp_path / "m.manifest.json"
+    manifest.write_text(json.dumps({"command": "train", "argv": argv, "cwd": str(tmp_path)}),
+                        encoding="utf-8")
+    assert main(["replay", "--manifest", str(manifest)]) == 1
+    assert capsys.readouterr() == ("", f"error: {manifest} records arguments that scoregate "
+                                       f"rejects: unrecognized arguments: {rejected}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.manifest.json"]
 
 
 @pytest.mark.parametrize("content, reason", [

@@ -204,22 +204,18 @@ def test_each_layer_and_head_is_one_dense_node(cfg, nodes, dense):
     assert ops.count("dense") == dense
 
 
-@pytest.mark.parametrize("lam, extra", [(0.0, 0), (0.1, 3)], ids=["lam0", "lam0.1"])
 @pytest.mark.parametrize("cfg, nodes", [
     (ModelConfig(d_in=16, hidden=(8,), gated=True), 13),
     (ModelConfig(d_in=16, backbone="attention", hidden=(8,), gated=True), 36),
 ], ids=["mlp", "attention"])
-def test_penalty_reads_the_gates_own_softmax_node(cfg, nodes, lam, extra):
-    # the entropy penalty adds entropy_rows, scale and add on the gate's node,
-    # so the scores leaf feeds exactly one softmax_rows node
+def test_the_scores_leaf_feeds_exactly_one_softmax_node(cfg, nodes):
     X, y = make_batch(np.random.default_rng(0), 32, cfg.d_in, binary=True)
-    loss, _, leaves, _ = build_model(cfg, seed=0).loss_graph(X, y, "bce", penalty_lam=lam)
+    loss, _, leaves, _ = build_model(cfg, seed=0).loss_graph(X, y, "bce")
     order = ad.topo_order(loss)
-    assert len(order) == nodes + extra
+    assert len(order) == nodes
     gate, = [node for node in order
              if node.op == "softmax_rows" and node.parents[0] is leaves["scores"]]
-    entropy = [node.parents for node in order if node.op == "entropy_rows"]
-    assert entropy == ([(gate,)] if lam > 0 else [])
+    assert [node for node in order if leaves["scores"] in node.parents] == [gate]
 
 
 def _bound_parents(loss, x_leaf):
@@ -667,16 +663,6 @@ def test_loss_graph_rejects_an_unknown_loss_kind():
     with pytest.raises(ValueError) as info:
         model.loss_graph(np.ones((4, 3)), np.ones(4), "bxe")
     assert str(info.value) == "unknown loss_kind 'bxe'; expected 'bce' or 'mse'"
-
-
-def test_loss_graph_rejects_a_penalty_on_an_ungated_model():
-    model = build_model(ModelConfig(d_in=3, hidden=(2,)), seed=0)
-    X, y = make_batch(np.random.default_rng(0), 4, 3, binary=True)
-    with pytest.raises(ValueError, match="penalty_lam penalizes the gate's entropy; "
-                                         "an ungated model has no gate"):
-        model.loss_graph(X, y, "bce", penalty_lam=0.1)
-    loss, *_ = model.loss_graph(X, y, "bce", penalty_lam=0.0)  # no penalty, no gate needed
-    assert [node.op for node in ad.topo_order(loss)].count("entropy_rows") == 0
 
 
 def test_loss_graph_rejects_wrong_width():

@@ -19,7 +19,7 @@ def test_digest_covers_every_artifact_without_its_volatile_keys(tmp_path, monkey
     for side in "ab":
         (tmp_path / side).mkdir()
     first = pipeline_digest.artifacts(main, Model.load, tmp_path / "a")
-    stems = ["gated", "lam", "vanilla", "att", "f1-model"]
+    stems = ["gated", "gt", "vanilla", "att", "f1-model"]
     expected = {"synth.csv", "synth.sidecar.json", "synth.manifest.json",
                 "f1.csv", "f1.sidecar.json", "f1.manifest.json",
                 "rank-vanilla.stderr", "trajectory.csv", "trajectory.manifest.json"}

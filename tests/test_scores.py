@@ -271,62 +271,6 @@ def test_init_from_values_rejects_a_non_finite_value(bad):
         init_scores(4, "from-values", values=[0.5, 1.0, bad, 0.0])
 
 
-# --- gate-entropy penalty, a graph term ------------------------------------------
-
-
-def entropy_penalty(s_leaf, lam):
-    """The training loss's penalty term: lam * entropy(softmax(s))."""
-    return ad.scale(ad.entropy_rows(ad.softmax_rows(s_leaf)), lam)
-
-
-def closed_form_entropy_grad(s, lam):
-    """d/ds_l of lam * H(softmax(s)) = -lam * w_l * (ln w_l + H(w))."""
-    w = gated(s).gate_weights()
-    h = -(w * np.log(w)).sum()
-    return -lam * w * (np.log(w) + h)
-
-
-@given(st.integers(2, 8), st.floats(0.01, 5.0), st.integers(0, 2 ** 32 - 1))
-@settings(max_examples=50, deadline=None)
-def test_entropy_penalty_passes_grad_check(d, lam, seed):
-    s = np.random.default_rng(seed).normal(scale=2.0, size=(1, d))
-    # central differences carry ~1e-10 absolute noise: keep every entry well above it
-    assume(np.abs(closed_form_entropy_grad(s[0], lam)).min() > 1e-3)
-    s_leaf = ad.leaf(s)
-    assert ad.grad_check(entropy_penalty(s_leaf, lam), s_leaf) < 1e-6
-
-
-def test_entropy_penalty_gradient_matches_the_closed_form():
-    rng = np.random.default_rng(23)
-    for _ in range(50):
-        d = int(rng.integers(2, 17))
-        s = rng.normal(scale=float(rng.choice([0.1, 1.0, 5.0])), size=d)
-        lam = float(rng.uniform(0.01, 3.0))
-        s_leaf = ad.leaf(s.reshape(1, -1))
-        grad = ad.backward(entropy_penalty(s_leaf, lam))[s_leaf][0]
-        np.testing.assert_allclose(grad, closed_form_entropy_grad(s, lam), rtol=0, atol=1e-12)
-
-
-def test_entropy_penalty_gradient_is_zero_at_uniform_weights():
-    # uniform weights maximize entropy, so the gradient vanishes there
-    s_leaf = ad.leaf(np.zeros((1, 6)))
-    assert np.max(np.abs(ad.backward(entropy_penalty(s_leaf, 1.0))[s_leaf])) < 1e-15
-
-
-def test_entropy_values_and_an_underflowed_weight():
-    for d in (1, 4, 9):
-        uniform = ad.softmax_rows(ad.leaf(np.zeros((1, d))))
-        assert abs(ad.entropy_rows(uniform).value[0, 0] - math.log(d)) < 1e-14
-    assert ad.entropy(np.array([[0.0, 1.0, 0.0]]))[0, 0] == 0.0  # one-hot
-    np.testing.assert_array_equal(ad.entropy(np.full((2, 4), 0.25)), [[math.log(4)]] * 2)
-    s_leaf = ad.leaf(np.array([[0.0, -800.0]]))  # softmax underflows to exactly [1, 0]
-    penalty = entropy_penalty(s_leaf, 0.5)
-    assert penalty.value[0, 0] == 0.0
-    grad = ad.backward(penalty)[s_leaf]
-    assert np.isfinite(grad).all()
-    np.testing.assert_array_equal(grad, [[0.0, 0.0]])
-
-
 # --- rankings -------------------------------------------------------------------
 
 

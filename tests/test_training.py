@@ -105,10 +105,13 @@ def test_batch_starts_drops_ragged_tail():
     assert list(_batch_starts(6, 7)) == []
 
 
-def test_full_batch_train_matches_hand_rolled_loop():
+@pytest.mark.parametrize("backbone", ["mlp", "attention"])
+def test_full_batch_train_matches_hand_rolled_loop(backbone):
+    # Adam steps on backward's gradients as they are, for every parameter
     X, y = class_data(16, 4, seed=0)
     cfg = TrainConfig(epochs=5, lr=0.01, batch_size=None)
-    mcfg = ModelConfig(d_in=4, hidden=(3,), gated=True)
+    mcfg = ModelConfig(d_in=4, backbone=backbone, hidden=(3,), model_dim=4, ffn_dim=4,
+                       gated=True)
 
     trained = build_model(mcfg, seed=1)
     train(trained, X, y, "classification", cfg)
@@ -268,15 +271,17 @@ def test_wall_time_not_serialized():
 
 def test_report_carries_every_train_config_field():
     X, y = class_data(12, 3, seed=2)
-    cfg = TrainConfig(epochs=2, lr=0.01, batch_size=4, shuffle_seed=3, penalty_lam=0.1,
-                      record_every=1)
+    cfg = TrainConfig(epochs=2, lr=0.01, batch_size=4, shuffle_seed=3, record_every=1)
     model = build_model(ModelConfig(d_in=3, hidden=(2,), gated=True), seed=0)
     payload = train(model, X, y, "classification", cfg).to_dict()
     assert [f.name for f in fields(TrainConfig)] == [
-        "epochs", "lr", "batch_size", "shuffle_seed", "penalty_lam", "record_every"]
+        "epochs", "lr", "batch_size", "shuffle_seed", "record_every"]
     assert set(payload["config"]) == {f.name for f in fields(TrainConfig)}
     for f in fields(TrainConfig):
         assert payload["config"][f.name] == getattr(cfg, f.name), f.name
+    assert len(payload["curve"]) == 2
+    for row in payload["curve"]:
+        assert list(row) == ["epoch", "loss", "accuracy", "test_accuracy"]
 
 
 @pytest.mark.parametrize("row", [0, 10])
@@ -381,72 +386,6 @@ def test_regression_training_normalizes_and_binarizes_at_median():
     assert report.final_train_loss < report.curve[0].loss
 
 
-# --- penalties -------------------------------------------------------------------------
-
-
-def entropy_of(w):
-    w = np.asarray(w)
-    return float(-(w * np.log(w)).sum())
-
-
-def test_entropy_penalty_sharpens_weights():
-    X, y = class_data(32, 5, seed=7)
-    mcfg = ModelConfig(d_in=5, hidden=(4,), gated=True)
-
-    def final_entropy(lam):
-        model = build_model(mcfg, seed=1)
-        report = train(model, X, y, "classification",
-                       TrainConfig(epochs=60, batch_size=None, penalty_lam=lam))
-        # curve rows are pre-update; row 0 sees the uniform zero-init weights
-        assert report.curve[0].penalty == pytest.approx(lam * math.log(5), rel=1e-12)
-        return entropy_of(model.gate_weights())
-
-    assert final_entropy(0.5) < final_entropy(0.0)
-
-
-@pytest.mark.parametrize("backbone", ["mlp", "attention"])
-def test_penalty_gradient_reaches_adam_from_backward_alone(backbone, monkeypatch):
-    X, y = class_data(16, 4, seed=3)
-    mcfg = ModelConfig(d_in=4, backbone=backbone, hidden=(3,), model_dim=4, ffn_dim=4,
-                       gated=True, score_init="random-uniform")
-    lam = 0.7
-    seen = []
-
-    def recording_adam_step(state, params, cfg):
-        seen.append({name: g.copy() for name, g in state["grads"].items()})
-        adam_step(state, params, cfg)
-
-    monkeypatch.setattr(training, "adam_step", recording_adam_step)
-    train(build_model(mcfg, seed=2), X, y, "classification",
-          TrainConfig(epochs=1, batch_size=None, penalty_lam=lam))
-    # the same step without the penalty, plus its closed-form score gradient
-    model = build_model(mcfg, seed=2)
-    loss, _, leaves, _ = model.loss_graph(X, y, "bce")
-    grads = ad.backward(loss)
-    w = model.gate_weights()
-    entropy = -(w * np.log(w)).sum()
-    expected = {name: grads[node] for name, node in leaves.items()}
-    expected["scores"] = expected["scores"] - lam * w * (np.log(w) + entropy)
-    step, = seen
-    assert list(step) == list(expected)
-    np.testing.assert_allclose(step.pop("scores"), expected.pop("scores"), rtol=0, atol=1e-12)
-    for name in expected:  # the penalty reaches no other parameter
-        np.testing.assert_array_equal(step[name], expected[name], err_msg=name)
-
-
-def test_penalty_on_an_ungated_model_fails_before_the_graph_is_built(monkeypatch):
-    X, y = class_data(16, 3, seed=7)
-    model = build_model(ModelConfig(d_in=3, hidden=(2,)), seed=0)
-
-    def no_graph(*args, **kwargs):
-        raise AssertionError("the forward graph was built")
-
-    # loss_graph checks the penalty before it builds the forward pass
-    monkeypatch.setattr(Model, "_forward", no_graph)
-    with pytest.raises(ValueError, match="an ungated model has no gate"):
-        train(model, X, y, "classification", TrainConfig(epochs=2, penalty_lam=5.0))
-
-
 # --- failure modes -----------------------------------------------------------------------
 
 
@@ -493,7 +432,6 @@ def test_dropped_graphs_need_no_cyclic_collector(backbone):
     ("lr", 0.0, "lr must be finite and > 0"),
     ("lr", math.nan, "lr must be finite and > 0"),
     ("lr", math.inf, "lr must be finite and > 0"),
-    ("penalty_lam", math.inf, "penalty_lam must be >= 0 and finite"),
 ])
 def test_config_rejects_bad_optimizer_input(name, value, message):
     with pytest.raises(ValueError, match=message):
@@ -553,10 +491,6 @@ def test_config_and_task_validation():
         TrainConfig(batch_size=0)
     with pytest.raises(ValueError, match="record_every must be >= 1"):
         TrainConfig(record_every=0)
-    with pytest.raises(ValueError, match="penalty_lam must be >= 0"):
-        TrainConfig(penalty_lam=-0.1)
-    with pytest.raises(ValueError, match="penalty_lam must be >= 0"):
-        TrainConfig(penalty_lam=math.nan)
     X, y = class_data(8, 3, seed=0)
     model = build_model(ModelConfig(d_in=3, hidden=(2,)), seed=0)
     with pytest.raises(ValueError):

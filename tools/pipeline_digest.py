@@ -4,8 +4,8 @@ checkouts can be shown to write the same bytes.
     python3 tools/pipeline_digest.py [--src DIR]
 
 The pipeline (``PIPELINE``) generates a synth and a friedman1 dataset; fits
-gated, penalized (``--lam``, ``--init gt``), vanilla, attention and friedman1
-models; ranks three of them and fails to rank the vanilla one (its error
+gated, ground-truth-initialized (``--init gt``), vanilla, attention and
+friedman1 models; ranks three of them and fails to rank the vanilla one (its error
 message is an artifact too); explains the gated and attention models with
 SHAP, compares, runs MLP and attention ``stability``, and exports a plot CSV.
 It runs in one process, in a temporary directory, with relative paths, so no
@@ -52,9 +52,9 @@ PIPELINE = [
       "--out", "f1.csv"], 0),
     (["train", "--data", "synth.csv", *_FIT, "--record-every", "10", "--seed", "1",
       "--out-model", "gated.json", "--out-report", "gated-report.json"], 0),
-    (["train", "--data", "synth.csv", *_FIT, "--lam", "0.1", "--init", "gt",
+    (["train", "--data", "synth.csv", *_FIT, "--init", "gt",
       "--init-values", "synth.sidecar.json", "--seed", "2",
-      "--out-model", "lam.json", "--out-report", "lam-report.json"], 0),
+      "--out-model", "gt.json", "--out-report", "gt-report.json"], 0),
     (["train", "--data", "synth.csv", *_FIT, "--model", "vanilla", "--seed", "1",
       "--out-model", "vanilla.json", "--out-report", "vanilla-report.json"], 0),
     (["train", "--data", "synth.csv", "--backbone", "attention", "--model-dim", "8",
